@@ -20,15 +20,7 @@ import numpy as np
 
 from . import io as artifacts
 from .balance import triangle_census
-from .evaluation import (
-    EvalReport,
-    auc,
-    build_pairs,
-    f1,
-    fit_logreg,
-    run_experiment,
-    sgcn_config_for,
-)
+from .evaluation import run_experiment, score_embeddings, sgcn_config_for
 from .graph import load_edge_list, split_train_test, to_undirected
 from .model import embed_all
 from .spectral import spectral_embedding
@@ -175,7 +167,12 @@ def _cmd_train(args, emit):
     train_cfg = _train_config(args)
     result = fit(split.train, x, train_cfg, sgcn_cfg)
     artifacts.save_checkpoint(
-        emit("checkpoint.npz"), sgcn_cfg, train_cfg, result.params, result.mlg
+        emit("checkpoint.npz"),
+        sgcn_cfg,
+        train_cfg,
+        result.params,
+        result.mlg,
+        _split_of(args),
     )
     artifacts.write_loss_history(emit("loss_history.csv"), result.history)
     artifacts.write_embedding_csv(emit("embeddings.csv"), result.embeddings, split.train)
@@ -190,6 +187,7 @@ def _cmd_train(args, emit):
 
 
 def _cmd_eval(args, emit):
+    seed = args.seed
     if args.method == "sse":
         report = run_experiment(
             args.dataset,
@@ -205,27 +203,23 @@ def _cmd_eval(args, emit):
             raise FileNotFoundError(
                 f"no checkpoint at {checkpoint}; run the train command first"
             )
-        sgcn_cfg, train_cfg, params, mlg = artifacts.load_checkpoint(checkpoint)
+        sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
+        # Any other split would hold out edges the weights were fit on.
+        for key, value in _split_of(args).items():
+            if trained_on[key] != value:
+                raise ValueError(
+                    f"checkpoint was trained with {key}={trained_on[key]!r}, "
+                    f"eval was given {key}={value!r}"
+                )
+        seed = trained_on["seed"]
         graph = _ingest(args)
-        split = split_train_test(graph, args.test_fraction, train_cfg.seed)
+        split = split_train_test(graph, trained_on["test_fraction"], seed)
         x = spectral_embedding(split.train, sgcn_cfg.d_in) * np.sqrt(graph.n)
-        z = embed_all(split.train, x, params, sgcn_cfg)
-        train_pairs = build_pairs(z, list(split.train.edges()))
-        test_pairs = build_pairs(z, list(split.test))
-        model = fit_logreg(train_pairs)
-        probs = model.predict_proba(test_pairs.features)
-        n_pos = int(test_pairs.labels.sum())
-        report = EvalReport(
-            auc=auc(probs, test_pairs.labels),
-            f1=f1((probs >= 0.5).astype(int), test_pairs.labels),
-            threshold=0.5,
-            n_test_pos=n_pos,
-            n_test_neg=len(test_pairs.labels) - n_pos,
-        )
-    row = _report_row(args.dataset, args.method, args.seed, report)
+        report = score_embeddings(embed_all(split.train, x, params, sgcn_cfg), split)
+    row = _report_row(args.dataset, args.method, seed, report)
     artifacts.write_report_rows(emit("report.csv"), [row])
     _manifest(args, emit, "eval", ["report.csv"])
-    print(f"{args.method} seed={args.seed} auc={report.auc:.4f} f1={report.f1:.4f}")
+    print(f"{args.method} seed={seed} auc={report.auc:.4f} f1={report.f1:.4f}")
 
 
 def _cmd_triangles(args, emit):
@@ -286,6 +280,15 @@ def _train_config(
         epochs=args.epochs,
         seed=args.seed if seed is None else seed,
     )
+
+
+def _split_of(args) -> dict:
+    """The train/test split the command line asks for, as checkpoints record it."""
+    return {
+        "test_fraction": args.test_fraction,
+        "seed": args.seed,
+        "dataset_sha1": artifacts.git_blob_sha1(args.dataset),
+    }
 
 
 def _report_row(dataset, method, seed, report) -> dict:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .graph import SignedEdge, SignedGraph, load_edge_list, split_train_test, to_undirected
+from .graph import (
+    EdgeSplit,
+    SignedEdge,
+    SignedGraph,
+    load_edge_list,
+    split_train_test,
+    to_undirected,
+)
 from .model import SgcnConfig
 from .spectral import spectral_embedding
 from .training import TrainConfig, fit
@@ -32,10 +39,14 @@ __all__ = [
     "fit_logreg",
     "auc",
     "f1",
+    "score_embeddings",
     "run_experiment",
 ]
 
 METHODS = ("sse", "sgcn-1", "sgcn-1+", "sgcn-2")
+
+# Probability above which the probe predicts a positive link, for F1.
+_THRESHOLD = 0.5
 
 
 class DegenerateDataError(ValueError):
@@ -175,6 +186,22 @@ def f1(predictions, labels, positive_class: int = 1) -> float:
     return 2.0 * tp / (2 * tp + fp + fn)
 
 
+def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
+    """Fit the logistic probe on the train edges and score the held-out ones."""
+    train_pairs = build_pairs(z, list(split.train.edges()))
+    test_pairs = build_pairs(z, list(split.test))
+    model = fit_logreg(train_pairs)
+    probs = model.predict_proba(test_pairs.features)
+    n_test_pos = int(test_pairs.labels.sum())
+    return EvalReport(
+        auc=auc(probs, test_pairs.labels),
+        f1=f1((probs >= _THRESHOLD).astype(int), test_pairs.labels),
+        threshold=_THRESHOLD,
+        n_test_pos=n_test_pos,
+        n_test_neg=len(test_pairs.labels) - n_test_pos,
+    )
+
+
 def run_experiment(
     source,
     method: str,
@@ -185,9 +212,6 @@ def run_experiment(
     embedding_dim: int = 64,
     hidden_dim: int = 32,
     train_cfg: TrainConfig | None = None,
-    l2: float = 1.0,
-    max_iter: int = 500,
-    threshold: float = 0.5,
     feature_cache: dict | None = None,
 ) -> EvalReport:
     """One full link-sign prediction run, leak-free by construction.
@@ -228,19 +252,7 @@ def run_experiment(
         # model input to unit RMS so the layers start in their design regime.
         result = fit(split.train, x * np.sqrt(graph.n), cfg, sgcn_cfg)
         z = result.embeddings
-
-    train_pairs = build_pairs(z, list(split.train.edges()))
-    test_pairs = build_pairs(z, list(split.test))
-    model = fit_logreg(train_pairs, l2=l2, max_iter=max_iter)
-    probs = model.predict_proba(test_pairs.features)
-    n_test_pos = int(test_pairs.labels.sum())
-    return EvalReport(
-        auc=auc(probs, test_pairs.labels),
-        f1=f1((probs >= threshold).astype(int), test_pairs.labels),
-        threshold=threshold,
-        n_test_pos=n_test_pos,
-        n_test_neg=len(test_pairs.labels) - n_test_pos,
-    )
+    return score_embeddings(z, split)
 
 
 def sgcn_config_for(method: str, d_in: int, d_hidden: int = 32) -> SgcnConfig:

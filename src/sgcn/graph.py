@@ -9,6 +9,7 @@ are folded into this undirected form by :func:`to_undirected`.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -149,7 +150,8 @@ class EdgeSplit:
 def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
     """Parse a directed signed edge stream into ``(u, v, sign)`` records.
 
-    ``source`` may be a filesystem path, bytes, or a binary file object.
+    ``source`` may be a filesystem path, bytes, or a binary or text file
+    object; a file object stays open.
     Two formats are supported:
 
     * ``weighted-csv`` -- comma-separated ``SOURCE,TARGET,RATING[,TIME,...]``
@@ -251,14 +253,21 @@ def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, .
     return g.pos_adj[i], g.neg_adj[i]
 
 
+@contextmanager
 def _as_text(source):
-    """Open ``source`` (path, bytes, or binary file object) as a text stream."""
+    """Read ``source`` as a text stream; a caller's stream is left open."""
     if isinstance(source, bytes):
-        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8")
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        return open(source, "r", encoding="utf-8")
-    if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):
-        return io.TextIOWrapper(source, encoding="utf-8")
-    raise TypeError(f"cannot read edge list from {type(source).__name__}")
+        source = io.BytesIO(source)
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="utf-8") as text:
+            yield text
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    elif hasattr(source, "read"):
+        text = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield text
+        finally:
+            text.detach()  # closing the wrapper would close the binary stream
+    else:
+        raise TypeError(f"cannot read edge list from {type(source).__name__}")

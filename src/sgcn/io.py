@@ -38,7 +38,7 @@ __all__ = [
     "write_manifest",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_arrays(path, **arrays) -> None:
@@ -107,12 +107,18 @@ def save_checkpoint(
     train_cfg: TrainConfig,
     params: SgcnParams,
     mlg: MlgParams,
+    split: dict,
 ) -> None:
-    """Bundle configs, every weight matrix, classifier parameters, and seed."""
+    """Bundle configs, every weight matrix, classifier parameters, and seed.
+
+    ``split`` holds the ``test_fraction``, ``seed`` and ``dataset_sha1`` of
+    the train/test split the weights were fit on.
+    """
     arrays = {
         "version": np.int64(CHECKPOINT_VERSION),
         "sgcn_cfg": _json_array(asdict(sgcn_cfg)),
         "train_cfg": _json_array(asdict(train_cfg)),
+        "split": _json_array(split),
         "mlg_theta": mlg.theta,
         "mlg_bias": mlg.bias,
         "seed": np.int64(params.rng_seed),
@@ -124,7 +130,7 @@ def save_checkpoint(
     save_arrays(path, **arrays)
 
 
-def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParams]:
+def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParams, dict]:
     data = load_arrays(path)
     version = int(data["version"])
     if version != CHECKPOINT_VERSION:
@@ -138,7 +144,7 @@ def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParam
         rng_seed=int(data["seed"]),
     )
     mlg = MlgParams(theta=data["mlg_theta"], bias=data["mlg_bias"])
-    return sgcn_cfg, train_cfg, params, mlg
+    return sgcn_cfg, train_cfg, params, mlg, _json_value(data["split"])
 
 
 def write_loss_history(path, history: list[LossParts]) -> None:

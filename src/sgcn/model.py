@@ -8,15 +8,26 @@ edges, mirroring the reach-set recursion in :mod:`sgcn.balance`: friends of
 friends and enemies of enemies feed the friend track, while friends'
 enemies and enemies' friends feed the enemy track.
 
-Weight matrices act on `[neighbor means, own state]` concatenations, so the
-first layer maps ``2*d_in -> d_hidden`` per track and every later layer maps
-``3*d_hidden -> d_hidden``. The final embedding is the concatenation of both
-tracks' last-layer states.
+Each layer is a table of the blocks each track's weights act on, side by
+side. A block applies the positive-neighbor mean ``P``, the
+negative-neighbor mean ``N`` or nothing (the node's own state) to the
+friend state ``F`` or the enemy state ``E``; ``0`` is a zero slot:
+
+    layer                friend input      enemy input
+    first, on (x, x)     [P.F, F]          [N.E, E]
+    later, standard      [P.F, N.E, F]     [P.E, N.F, E]
+    later, plus          [P.F, 0, F]       [0, N.E, E]
+
+The zero slots keep the plus variant's weight shapes equal to the standard
+ones, so the first layer maps ``2*d_in -> d_hidden`` per track and every
+later layer maps ``3*d_hidden -> d_hidden``. The final embedding is the
+concatenation of both tracks' last-layer states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -29,14 +40,22 @@ __all__ = [
     "LayerState",
     "init_params",
     "neighbor_mean_ops",
-    "forward_layer1",
-    "forward_layer",
-    "forward_layer_plus",
     "forward_pass",
+    "backward_pass",
     "embed_all",
 ]
 
-_ACTIVATIONS = {"tanh": np.tanh}
+# The table above, one tuple of blocks per track (friend, enemy). A block is
+# (operator, source track): _P and _N index the neighbor_mean_ops pair and
+# _OWN reads the state as is; None is a zero slot. backward_pass relies on
+# every track listing its blocks in the slot order P, N, own.
+_P, _N, _OWN = 0, 1, None
+_F, _E = 0, 1
+_FIRST_LAYER = (((_P, _F), (_OWN, _F)), ((_N, _E), (_OWN, _E)))
+_LATER_LAYERS = {
+    "standard": (((_P, _F), (_N, _E), (_OWN, _F)), ((_P, _E), (_N, _F), (_OWN, _E))),
+    "plus": (((_P, _F), None, (_OWN, _F)), (None, (_N, _E), (_OWN, _E))),
+}
 
 
 @dataclass(frozen=True)
@@ -52,26 +71,20 @@ class SgcnConfig:
     d_hidden: int = 32
     layers: int = 2
     variant: str = "standard"
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_hidden < 1:
             raise ValueError("d_in and d_hidden must be >= 1")
         if self.layers < 1:
             raise ValueError("need at least one layer")
-        if self.variant not in ("standard", "plus"):
+        if self.variant not in _LATER_LAYERS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "plus" and self.layers != 2:
             raise ValueError("the plus variant is defined only for layers=2")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def embedding_dim(self) -> int:
         return 2 * self.d_hidden
-
-    def sigma(self):
-        return _ACTIVATIONS[self.activation]
 
 
 @dataclass
@@ -97,8 +110,7 @@ class SgcnParams:
         )
 
 
-@dataclass(frozen=True)
-class LayerState:
+class LayerState(NamedTuple):
     """Hidden matrices (n x d_hidden) of both tracks at one layer."""
 
     friend: np.ndarray
@@ -142,40 +154,6 @@ def _mean_matrix(n: int, adj) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
 
 
-def forward_layer1(g: SignedGraph, x: np.ndarray, params: SgcnParams) -> LayerState:
-    """First layer: each track sees its own sign's neighbor mean plus self."""
-    x = _check_features(g, x)
-    pos_mean, neg_mean = neighbor_mean_ops(g)
-    return _layer1_from_ops(x, params, pos_mean, neg_mean)
-
-
-def forward_layer(
-    g: SignedGraph, state: LayerState, params: SgcnParams, layer: int
-) -> LayerState:
-    """Layer ``layer`` (1-based, >= 2): cross-track aggregation.
-
-    The friend track blends positive neighbors' friend states with negative
-    neighbors' enemy states; the enemy track does the opposite.
-    """
-    if layer < 2:
-        raise ValueError("forward_layer handles layers >= 2; use forward_layer1")
-    pos_mean, neg_mean = neighbor_mean_ops(g)
-    return _layer_from_ops(state, params, layer - 1, pos_mean, neg_mean)
-
-
-def forward_layer_plus(
-    g: SignedGraph, state: LayerState, params: SgcnParams
-) -> LayerState:
-    """Second layer of the plus variant: repeat per-sign aggregation, no crossing.
-
-    The cross-track input slot is zeroed on both tracks, so each sign's
-    information propagates twice in isolation while the weight shapes stay
-    identical to the standard variant.
-    """
-    pos_mean, neg_mean = neighbor_mean_ops(g)
-    return _layer_plus_from_ops(state, params, pos_mean, neg_mean)
-
-
 def forward_pass(
     g: SignedGraph,
     x: np.ndarray,
@@ -188,24 +166,76 @@ def forward_pass(
     ``ops`` may carry the pair from :func:`neighbor_mean_ops` to skip
     rebuilding it, e.g. across training epochs on a fixed graph.
     """
-    x = _check_features(g, x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != g.n:
+        raise ValueError(f"feature matrix must be ({g.n}, d_in), got {x.shape}")
     if len(params.w_friend) != cfg.layers or len(params.w_enemy) != cfg.layers:
         raise ValueError(
             f"params carry {len(params.w_friend)} layers, config asks for {cfg.layers}"
         )
-    pos_mean, neg_mean = ops if ops is not None else neighbor_mean_ops(g)
-    sigma = cfg.sigma()
-    states = [_layer1_from_ops(x, params, pos_mean, neg_mean, sigma)]
-    for layer in range(2, cfg.layers + 1):
-        if cfg.variant == "plus":
-            states.append(
-                _layer_plus_from_ops(states[-1], params, pos_mean, neg_mean, sigma)
-            )
-        else:
-            states.append(
-                _layer_from_ops(states[-1], params, layer - 1, pos_mean, neg_mean, sigma)
-            )
+    if params.w_friend[0].shape[1] != 2 * x.shape[1]:
+        raise ValueError(
+            f"layer-1 weights expect input width {params.w_friend[0].shape[1] // 2}, "
+            f"got {x.shape[1]}"
+        )
+    ops = ops if ops is not None else neighbor_mean_ops(g)
+    below = LayerState(friend=x, enemy=x)  # what the first layer reads
+    states = []
+    for layer in range(cfg.layers):
+        friend_in, enemy_in = (
+            _layer_input(blocks, below, ops) for blocks in _layer_table(cfg, layer)
+        )
+        below = LayerState(
+            friend=np.tanh(friend_in @ params.w_friend[layer].T),
+            enemy=np.tanh(enemy_in @ params.w_enemy[layer].T),
+        )
+        states.append(below)
     return states
+
+
+def backward_pass(
+    states: list[LayerState],
+    x: np.ndarray,
+    params: SgcnParams,
+    cfg: SgcnConfig,
+    dz: np.ndarray,
+    ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix],
+) -> SgcnParams:
+    """Gradient of an objective with respect to every weight matrix.
+
+    ``states`` and ``ops`` are those :func:`forward_pass` used, and ``dz``
+    is the objective's gradient at the embedding ``[friend, enemy]`` of the
+    last layer. Reverse mode through the same layer tables: each block's
+    gradient goes back through the transpose of its operator to the track
+    it was read from.
+    """
+    h = cfg.d_hidden
+    weights = (params.w_friend, params.w_enemy)
+    grads = ([None] * cfg.layers, [None] * cfg.layers)
+    inputs = [LayerState(friend=x, enemy=x)] + states[:-1]
+    g_state = [dz[:, :h], dz[:, h:]]
+    for layer in range(cfg.layers - 1, -1, -1):
+        table = _layer_table(cfg, layer)
+        d_in = []
+        for track, blocks in enumerate(table):
+            # tanh' = 1 - tanh^2, read off the layer's output.
+            d_pre = g_state[track] * (1.0 - states[layer][track] ** 2)
+            grads[track][layer] = d_pre.T @ _layer_input(blocks, inputs[layer], ops)
+            d_in.append(d_pre @ weights[track][layer])
+        if layer == 0:
+            break  # the features x are not trained
+        # Slot by slot, so each track sums its P, N and own parts in that order.
+        g_state = [None, None]
+        for slot, column in enumerate(zip(*table)):
+            for track, block in enumerate(column):
+                if block is None:
+                    continue
+                op, source = block
+                part = d_in[track][:, slot * h : (slot + 1) * h]
+                if op is not _OWN:
+                    part = ops[op].T @ part
+                g_state[source] = part if g_state[source] is None else g_state[source] + part
+    return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E], rng_seed=params.rng_seed)
 
 
 def embed_all(
@@ -220,36 +250,17 @@ def embed_all(
     return np.hstack([final.friend, final.enemy])
 
 
-def _check_features(g: SignedGraph, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.n:
-        raise ValueError(f"feature matrix must be ({g.n}, d_in), got {x.shape}")
-    return x
+def _layer_table(cfg: SgcnConfig, layer: int):
+    return _FIRST_LAYER if layer == 0 else _LATER_LAYERS[cfg.variant]
 
 
-def _layer1_from_ops(x, params, pos_mean, neg_mean, sigma=np.tanh) -> LayerState:
-    wf, we = params.w_friend[0], params.w_enemy[0]
-    if wf.shape[1] != 2 * x.shape[1]:
-        raise ValueError(
-            f"layer-1 weights expect input width {wf.shape[1] // 2}, got {x.shape[1]}"
-        )
-    friend_in = np.hstack([pos_mean @ x, x])
-    enemy_in = np.hstack([neg_mean @ x, x])
-    return LayerState(friend=sigma(friend_in @ wf.T), enemy=sigma(enemy_in @ we.T))
-
-
-def _layer_from_ops(state, params, w_index, pos_mean, neg_mean, sigma=np.tanh) -> LayerState:
-    wf, we = params.w_friend[w_index], params.w_enemy[w_index]
-    hf, he = state.friend, state.enemy
-    friend_in = np.hstack([pos_mean @ hf, neg_mean @ he, hf])
-    enemy_in = np.hstack([pos_mean @ he, neg_mean @ hf, he])
-    return LayerState(friend=sigma(friend_in @ wf.T), enemy=sigma(enemy_in @ we.T))
-
-
-def _layer_plus_from_ops(state, params, pos_mean, neg_mean, sigma=np.tanh) -> LayerState:
-    wf, we = params.w_friend[1], params.w_enemy[1]
-    hf, he = state.friend, state.enemy
-    zero = np.zeros_like(hf)
-    friend_in = np.hstack([pos_mean @ hf, zero, hf])
-    enemy_in = np.hstack([zero, neg_mean @ he, he])
-    return LayerState(friend=sigma(friend_in @ wf.T), enemy=sigma(enemy_in @ we.T))
+def _layer_input(blocks, state: LayerState, ops) -> np.ndarray:
+    """One track's layer input: its blocks, read off ``state``, side by side."""
+    columns = []
+    for block in blocks:
+        if block is None:
+            columns.append(np.zeros_like(state.friend))
+            continue
+        op, source = block
+        columns.append(state[source] if op is _OWN else ops[op] @ state[source])
+    return np.hstack(columns)

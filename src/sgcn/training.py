@@ -5,8 +5,9 @@ deciding whether a node pair is positively linked, negatively linked, or
 unlinked; a pair of hinge terms pulling positively linked nodes closer than
 unlinked ones and pushing negatively linked nodes farther than unlinked
 ones; and an L2 penalty on all weights. Gradients are computed in closed
-form by reverse mode through the two-track forward pass, with the hinge
-subgradient taken as zero exactly at the kink.
+form by reverse mode, down to the embedding here and then through the layers
+by :func:`sgcn.model.backward_pass`, with the hinge subgradient taken as
+zero exactly at the kink.
 
 Training steps with Adam (Kingma & Ba, arXiv:1412.6980). The hinge terms
 carry no margin constant, so they scale with the square of the embedding
@@ -19,7 +20,7 @@ whatever the gradient's scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .model import (
     LayerState,
     SgcnConfig,
     SgcnParams,
+    backward_pass,
     forward_pass,
     init_params,
     neighbor_mean_ops,
@@ -48,8 +50,9 @@ __all__ = [
     "fit",
 ]
 
-# Class indices for pair labels: positive link, negative link, no link.
-_CLASS_INDEX = {1: 0, -1: 1, 0: 2}
+# Class index of a pair label s in {+1, -1, 0}: positive link 0, negative
+# link 1, no link 2. Indexed by s itself, so s = -1 reads the last entry.
+_CLASS_OF_SIGN = np.array([2, 0, 1], dtype=np.intp)
 
 # Adam's moment decay rates and denominator guard, as in Kingma & Ba.
 _ADAM_BETAS = (0.9, 0.999)
@@ -118,21 +121,21 @@ class MlgParams:
         return MlgParams(theta=self.theta.copy(), bias=self.bias.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainBatch:
-    """One sampled batch.
+    """One sampled batch, as ``(rows, 3)`` integer arrays.
 
-    ``pairs`` holds ``(i, j, s)`` with ``s`` in {+1, -1, 0}; the triplet
-    lists hold ``(i, j, k)`` where ``j`` is a linked neighbor of ``i`` of
+    ``pairs`` rows are ``(i, j, s)`` with ``s`` in {+1, -1, 0}; the triplet
+    rows are ``(i, j, k)`` where ``j`` is a linked neighbor of ``i`` of
     the respective sign and ``k`` has no train edge to ``i``.
     ``class_weights`` maps each label present in the batch to its
     inverse-frequency weight.
     """
 
-    pairs: tuple[tuple[int, int, int], ...]
-    pos_triplets: tuple[tuple[int, int, int], ...]
-    neg_triplets: tuple[tuple[int, int, int], ...]
-    class_weights: dict[int, float] = field(compare=False)
+    pairs: np.ndarray
+    pos_triplets: np.ndarray
+    neg_triplets: np.ndarray
+    class_weights: dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -196,17 +199,13 @@ def sample_batch(train: SignedGraph, cfg: TrainConfig, epoch: int) -> TrainBatch
         for _ in range(cfg.pairs_per_class):
             pairs.append((i, draw_unlinked(i), 0))
 
-    counts: dict[int, int] = {}
-    for _, _, s in pairs:
-        counts[s] = counts.get(s, 0) + 1
-    total = len(pairs)
-    weights = {s: total / (3.0 * c) for s, c in counts.items()}
-    return TrainBatch(
-        pairs=tuple(pairs),
-        pos_triplets=tuple(pos_triplets),
-        neg_triplets=tuple(neg_triplets),
-        class_weights=weights,
+    pairs, pos_triplets, neg_triplets = (
+        np.array(rows, dtype=np.intp).reshape(-1, 3)
+        for rows in (pairs, pos_triplets, neg_triplets)
     )
+    signs, counts = np.unique(pairs[:, 2], return_counts=True)
+    weights = {int(s): len(pairs) / (3.0 * int(c)) for s, c in zip(signs, counts)}
+    return TrainBatch(pairs, pos_triplets, neg_triplets, class_weights=weights)
 
 
 def loss_parts(
@@ -217,13 +216,9 @@ def loss_parts(
     cfg: TrainConfig,
 ) -> LossParts:
     """Evaluate the three objective components at the given embeddings."""
-    if not batch.pairs:
+    if len(batch.pairs) == 0:
         raise ValueError("batch has no labeled pairs")
-    idx_i = np.fromiter((p[0] for p in batch.pairs), dtype=np.intp)
-    idx_j = np.fromiter((p[1] for p in batch.pairs), dtype=np.intp)
-    labels = np.fromiter((_CLASS_INDEX[p[2]] for p in batch.pairs), dtype=np.intp)
-    omega = np.fromiter((batch.class_weights[p[2]] for p in batch.pairs), dtype=np.float64)
-
+    idx_i, idx_j, labels, omega = _pair_columns(batch)
     features = np.hstack([z[idx_i], z[idx_j]])
     logits = features @ mlg.theta.T + mlg.bias
     logits -= logits.max(axis=1, keepdims=True)
@@ -236,10 +231,10 @@ def loss_parts(
         (batch.pos_triplets, True),
         (batch.neg_triplets, False),
     ):
-        if not triplets:
+        if len(triplets) == 0:
             continue
-        t = _margin_slack(z, triplets, closer_is_linked)
-        margin += float(np.maximum(0.0, t).mean())
+        slack, _, _ = _margin_slack(z, triplets, closer_is_linked)
+        margin += float(np.maximum(0.0, slack).mean())
     margin *= cfg.margin_weight
 
     reg = 0.0
@@ -262,12 +257,22 @@ def loss(
     return loss_parts(z, mlg, batch, params, cfg).total
 
 
+def _pair_columns(batch: TrainBatch):
+    """Endpoints, class indices and class weights of the batch's pairs.
+
+    Both lookups are indexed by the pair's sign, as ``_CLASS_OF_SIGN`` is.
+    """
+    signs = batch.pairs[:, 2]
+    weight_of_sign = np.array([batch.class_weights.get(s, 0.0) for s in (0, 1, -1)])
+    return batch.pairs[:, 0], batch.pairs[:, 1], _CLASS_OF_SIGN[signs], weight_of_sign[signs]
+
+
 def _margin_slack(z, triplets, closer_is_linked):
-    """Hinge slack per triplet: positive when the ordering is violated."""
-    arr = np.asarray(triplets, dtype=np.intp)
-    d_linked = np.sum((z[arr[:, 0]] - z[arr[:, 1]]) ** 2, axis=1)
-    d_unlinked = np.sum((z[arr[:, 0]] - z[arr[:, 2]]) ** 2, axis=1)
-    return d_linked - d_unlinked if closer_is_linked else d_unlinked - d_linked
+    """Hinge slack per triplet (positive when the ordering is violated), z_i - z_j, z_i - z_k."""
+    diff_j = z[triplets[:, 0]] - z[triplets[:, 1]]
+    diff_k = z[triplets[:, 0]] - z[triplets[:, 2]]
+    slack = np.sum(diff_j**2, axis=1) - np.sum(diff_k**2, axis=1)
+    return (slack if closer_is_linked else -slack), diff_j, diff_k
 
 
 def gradients(
@@ -349,18 +354,14 @@ def _backward(
     sgcn_cfg: SgcnConfig,
     ops,
 ) -> tuple[SgcnParams, MlgParams]:
-    pos_mean, neg_mean = ops
-    h = sgcn_cfg.d_hidden
+    """The objective's gradient at the embedding, then through the model."""
     final = states[-1]
     z = np.hstack([final.friend, final.enemy])
-    n, zw = z.shape
+    zw = z.shape[1]
     dz = np.zeros_like(z)
 
     # Classifier term.
-    idx_i = np.fromiter((p[0] for p in batch.pairs), dtype=np.intp)
-    idx_j = np.fromiter((p[1] for p in batch.pairs), dtype=np.intp)
-    labels = np.fromiter((_CLASS_INDEX[p[2]] for p in batch.pairs), dtype=np.intp)
-    omega = np.fromiter((batch.class_weights[p[2]] for p in batch.pairs), dtype=np.float64)
+    idx_i, idx_j, labels, omega = _pair_columns(batch)
     m = len(batch.pairs)
     features = np.hstack([z[idx_i], z[idx_j]])
     logits = features @ mlg.theta.T + mlg.bias
@@ -382,65 +383,20 @@ def _backward(
             (batch.pos_triplets, True),
             (batch.neg_triplets, False),
         ):
-            if not triplets:
+            if len(triplets) == 0:
                 continue
-            arr = np.asarray(triplets, dtype=np.intp)
-            diff_j = z[arr[:, 0]] - z[arr[:, 1]]
-            diff_k = z[arr[:, 0]] - z[arr[:, 2]]
-            slack = np.sum(diff_j**2, axis=1) - np.sum(diff_k**2, axis=1)
-            if not closer_is_linked:
-                slack = -slack
+            slack, diff_j, diff_k = _margin_slack(z, triplets, closer_is_linked)
             scale = cfg.margin_weight / len(triplets)
             active = scale * (slack > 0).astype(np.float64)
             sign = 1.0 if closer_is_linked else -1.0
             coef = (2.0 * sign * active)[:, None]
-            np.add.at(dz, arr[:, 0], coef * (diff_j - diff_k))
-            np.add.at(dz, arr[:, 1], -coef * diff_j)
-            np.add.at(dz, arr[:, 2], coef * diff_k)
+            np.add.at(dz, triplets[:, 0], coef * (diff_j - diff_k))
+            np.add.at(dz, triplets[:, 1], -coef * diff_j)
+            np.add.at(dz, triplets[:, 2], coef * diff_k)
 
-    # Backpropagate dz through the layers.
-    grad_friend = [np.zeros_like(w) for w in params.w_friend]
-    grad_enemy = [np.zeros_like(w) for w in params.w_enemy]
-    g_f = dz[:, :h].copy()
-    g_e = dz[:, h:].copy()
-    for layer in range(sgcn_cfg.layers, 1, -1):
-        state = states[layer - 1]
-        below = states[layer - 2]
-        ds_f = g_f * (1.0 - state.friend**2)
-        ds_e = g_e * (1.0 - state.enemy**2)
-        if sgcn_cfg.variant == "plus":
-            in_f = np.hstack([pos_mean @ below.friend, np.zeros_like(below.friend), below.friend])
-            in_e = np.hstack([np.zeros_like(below.enemy), neg_mean @ below.enemy, below.enemy])
-        else:
-            in_f = np.hstack([pos_mean @ below.friend, neg_mean @ below.enemy, below.friend])
-            in_e = np.hstack([pos_mean @ below.enemy, neg_mean @ below.friend, below.enemy])
-        grad_friend[layer - 1] += ds_f.T @ in_f
-        grad_enemy[layer - 1] += ds_e.T @ in_e
-        da_f = ds_f @ params.w_friend[layer - 1]
-        da_e = ds_e @ params.w_enemy[layer - 1]
-        if sgcn_cfg.variant == "plus":
-            g_f = pos_mean.T @ da_f[:, :h] + da_f[:, 2 * h :]
-            g_e = neg_mean.T @ da_e[:, h : 2 * h] + da_e[:, 2 * h :]
-        else:
-            g_f = pos_mean.T @ da_f[:, :h] + neg_mean.T @ da_e[:, h : 2 * h] + da_f[:, 2 * h :]
-            g_e = pos_mean.T @ da_e[:, :h] + neg_mean.T @ da_f[:, h : 2 * h] + da_e[:, 2 * h :]
-
-    first = states[0]
-    ds_f = g_f * (1.0 - first.friend**2)
-    ds_e = g_e * (1.0 - first.enemy**2)
-    in_f = np.hstack([pos_mean @ x, x])
-    in_e = np.hstack([neg_mean @ x, x])
-    grad_friend[0] += ds_f.T @ in_f
-    grad_enemy[0] += ds_e.T @ in_e
-
+    grad_w = backward_pass(states, x, params, sgcn_cfg, dz, ops)
     if cfg.reg_coeff:
-        for gw, w in zip(grad_friend, params.w_friend):
-            gw += 2.0 * cfg.reg_coeff * w
-        for gw, w in zip(grad_enemy, params.w_enemy):
+        for gw, w in zip(grad_w.all_weights(), params.all_weights()):
             gw += 2.0 * cfg.reg_coeff * w
         grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
-
-    return (
-        SgcnParams(w_friend=grad_friend, w_enemy=grad_enemy, rng_seed=params.rng_seed),
-        MlgParams(theta=grad_theta, bias=grad_bias),
-    )
+    return grad_w, MlgParams(theta=grad_theta, bias=grad_bias)

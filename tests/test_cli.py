@@ -33,6 +33,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 FAST_TRAIN = ["--epochs", "6", "--batch-nodes", "20", "--pairs-per-class", "2",
               "--dim", "8", "--hidden-dim", "4"]
 
@@ -85,7 +90,7 @@ class TestTrainEval:
         assert run(["train", "--dataset", dataset, "--method", "sgcn-2",
                     "--seed", "3", "--out", out, *FAST_TRAIN]) == 0
         assert (out / "checkpoint.npz").exists()
-        history = list(csv.DictReader(open(out / "loss_history.csv")))
+        history = csv_rows(out / "loss_history.csv")
         assert len(history) == 6
         assert set(history[0]) == {"epoch", "mean_loss", "mlg_part",
                                    "margin_part", "reg_part"}
@@ -115,16 +120,36 @@ class TestTrainEval:
                     "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
         assert run(["eval", "--dataset", dataset, "--method", "sgcn-2",
                     "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
-        rows = list(csv.DictReader(open(out / "report.csv")))
+        rows = csv_rows(out / "report.csv")
         assert len(rows) == 1
         assert rows[0]["method"] == "sgcn-2"
         assert 0.0 <= float(rows[0]["auc"]) <= 1.0
+
+    @pytest.mark.parametrize(
+        "eval_flags, trained, given",
+        [
+            (["--test-fraction", "0.3"], "test_fraction=0.2", "test_fraction=0.3"),
+            (["--seed", "4"], "seed=2", "seed=4"),
+        ],
+        ids=["test-fraction", "seed"],
+    )
+    def test_eval_refuses_another_split(self, dataset, tmp_path, capsys,
+                                        eval_flags, trained, given):
+        # Another split would score edges the checkpoint was trained on.
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", dataset, "--method", "sgcn-2",
+                    "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
+        assert run(["eval", "--dataset", dataset, "--method", "sgcn-2",
+                    "--seed", "2", "--out", out, *FAST_TRAIN, *eval_flags]) == 1
+        err = capsys.readouterr().err
+        assert trained in err and given in err
+        assert not (out / "report.csv").exists()
 
     def test_eval_sse_needs_no_checkpoint(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert run(["eval", "--dataset", dataset, "--method", "sse",
                     "--dim", "8", "--out", out]) == 0
-        rows = list(csv.DictReader(open(out / "report.csv")))
+        rows = csv_rows(out / "report.csv")
         assert rows[0]["method"] == "sse"
 
 
@@ -149,10 +174,10 @@ class TestSweepLambda:
         assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-2",
                     "--lambdas", "0,5", "--seed", "1", "--out", out,
                     *FAST_TRAIN]) == 0
-        rows = list(csv.DictReader(open(out / "report.csv")))
+        rows = csv_rows(out / "report.csv")
         assert [r["method"] for r in rows] == ["sgcn-2[lambda=0]",
                                                "sgcn-2[lambda=5]"]
-        agg = list(csv.DictReader(open(out / "aggregate.csv")))
+        agg = csv_rows(out / "aggregate.csv")
         assert len(agg) == 2
 
     def test_sweep_over_seed_list_aggregates(self, dataset, tmp_path):
@@ -160,9 +185,9 @@ class TestSweepLambda:
         assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-1",
                     "--lambdas", "5", "--seeds", "0,1,2", "--out", out,
                     *FAST_TRAIN]) == 0
-        rows = list(csv.DictReader(open(out / "report.csv")))
+        rows = csv_rows(out / "report.csv")
         assert [int(r["seed"]) for r in rows] == [0, 1, 2]
-        agg = list(csv.DictReader(open(out / "aggregate.csv")))
+        agg = csv_rows(out / "aggregate.csv")
         assert len(agg) == 1
         assert int(agg[0]["n_seeds"]) == 3
         assert float(agg[0]["std_auc"]) >= 0.0

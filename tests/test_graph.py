@@ -58,6 +58,16 @@ class TestLoadEdgeList:
         with open(p, "rb") as fh:
             assert load_edge_list(fh, "weighted-csv") == [(1, 2, 1)]
 
+    @pytest.mark.parametrize(
+        "stream_type, data",
+        [(io.StringIO, "1,2,5,0\n"), (io.BytesIO, b"1,2,5,0\n")],
+        ids=["text", "binary"],
+    )
+    def test_leaves_caller_stream_open(self, stream_type, data):
+        stream = stream_type(data)
+        assert load_edge_list(stream, "weighted-csv") == [(1, 2, 1)]
+        assert not stream.closed
+
 
 class TestToUndirected:
     def test_single_record(self):

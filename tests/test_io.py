@@ -60,10 +60,12 @@ def test_checkpoint_roundtrip(tmp_path):
     params = init_params(sgcn_cfg, seed=3)
     mlg = MlgParams(theta=np.random.default_rng(3).standard_normal((3, 16)),
                     bias=np.array([0.1, -0.2, 0.0]))
+    split = {"test_fraction": 0.2, "seed": 3, "dataset_sha1": "0" * 40}
     path = tmp_path / "checkpoint.npz"
-    artifacts.save_checkpoint(path, sgcn_cfg, train_cfg, params, mlg)
-    cfg2, tcfg2, params2, mlg2 = artifacts.load_checkpoint(path)
+    artifacts.save_checkpoint(path, sgcn_cfg, train_cfg, params, mlg, split)
+    cfg2, tcfg2, params2, mlg2, split2 = artifacts.load_checkpoint(path)
     assert cfg2 == sgcn_cfg
+    assert split2 == split
     assert tcfg2 == train_cfg
     assert params2.rng_seed == params.rng_seed
     for a, b in zip(params.all_weights(), params2.all_weights()):

@@ -7,9 +7,6 @@ from sgcn.model import (
     SgcnConfig,
     SgcnParams,
     embed_all,
-    forward_layer,
-    forward_layer1,
-    forward_layer_plus,
     forward_pass,
     init_params,
 )
@@ -27,6 +24,11 @@ def negative_path():
     return SignedGraph.from_edges(3, [(0, 1, -1), (1, 2, -1)])
 
 
+def standard_config(cfg):
+    """The standard variant at the shapes of ``cfg``, so it takes the same weights."""
+    return SgcnConfig(d_in=cfg.d_in, d_hidden=cfg.d_hidden, layers=cfg.layers)
+
+
 class TestConfig:
     def test_plus_requires_two_layers(self):
         with pytest.raises(ValueError):
@@ -40,8 +42,6 @@ class TestConfig:
             SgcnConfig(d_in=4, layers=0)
         with pytest.raises(ValueError):
             SgcnConfig(d_in=4, variant="triple")
-        with pytest.raises(ValueError):
-            SgcnConfig(d_in=4, activation="relu6")
 
 
 class TestInitParams:
@@ -75,7 +75,7 @@ class TestForwardLayer1:
         x = np.array([[0.3, -0.2], [0.5, 0.1]])
         cfg = SgcnConfig(d_in=2, d_hidden=2, layers=1)
         params = init_params(cfg, seed=1)
-        state = forward_layer1(g, x, params)
+        (state,) = forward_pass(g, x, params, cfg)
         # No negative neighbors anywhere: enemy input is [0, x_i].
         expected = np.tanh(np.hstack([np.zeros_like(x), x]) @ params.w_enemy[0].T)
         assert state.enemy == pytest.approx(expected)
@@ -85,7 +85,7 @@ class TestForwardLayer1:
         x = np.array([[0.3, -0.2], [0.5, 0.1]])
         cfg = SgcnConfig(d_in=2, d_hidden=2, layers=1)
         params = init_params(cfg, seed=1)
-        state = forward_layer1(g, x, params)
+        (state,) = forward_pass(g, x, params, cfg)
         expected_row0 = np.tanh(params.w_friend[0] @ np.concatenate([x[1], x[0]]))
         assert state.friend[0] == pytest.approx(expected_row0)
 
@@ -97,7 +97,7 @@ class TestForwardLayer1:
         wf = np.array([[0.1, -0.2, 0.3, 0.4]])
         we = np.array([[-0.5, 0.6, 0.7, -0.8]])
         params = SgcnParams(w_friend=[wf], w_enemy=[we], rng_seed=0)
-        state = forward_layer1(g, x, params)
+        (state,) = forward_pass(g, x, params, cfg)
         # Node 0: positive neighbors {1}, negative {2}.
         pos_mean = [(-1.0 + 0.5 * 0) / 1, 0.5]  # x_1
         f0 = np.tanh(0.1 * -1.0 + -0.2 * 0.5 + 0.3 * 1.0 + 0.4 * 2.0)
@@ -114,9 +114,9 @@ class TestForwardLayer1:
         cfg = SgcnConfig(d_in=3, d_hidden=2, layers=1)
         params = init_params(cfg, seed=0)
         with pytest.raises(ValueError):
-            forward_layer1(g, np.zeros((2, 2)), params)
+            forward_pass(g, np.zeros((2, 2)), params, cfg)
         with pytest.raises(ValueError):
-            forward_layer1(g, np.zeros((5, 3)), params)
+            forward_pass(g, np.zeros((5, 3)), params, cfg)
 
 
 class TestForwardLayer:
@@ -125,8 +125,7 @@ class TestForwardLayer:
         cfg = SgcnConfig(d_in=3, d_hidden=2, layers=2)
         params = init_params(cfg, seed=2)
         x = np.random.default_rng(0).standard_normal((4, 3))
-        state1 = forward_layer1(g, x, params)
-        state2 = forward_layer(g, state1, params, layer=2)
+        state1, state2 = forward_pass(g, x, params, cfg)
         # With no negative edges the enemy mean slot is zero, so the friend
         # track must equal the computation that drops that slot entirely.
         from sgcn.model import neighbor_mean_ops
@@ -160,14 +159,6 @@ class TestForwardLayer:
         z = embed_all(g, np.ones((3, 2)), params, cfg)
         assert np.array_equal(z, np.zeros((3, 6)))
 
-    def test_layer_index_validated(self):
-        g = mixed_path()
-        cfg = SgcnConfig(d_in=2, d_hidden=2, layers=2)
-        params = init_params(cfg, seed=0)
-        state = forward_layer1(g, np.zeros((3, 2)), params)
-        with pytest.raises(ValueError):
-            forward_layer(g, state, params, layer=1)
-
 
 class TestPlusVariant:
     def test_all_positive_graph_matches_standard_friend_track(self):
@@ -175,9 +166,8 @@ class TestPlusVariant:
         cfg = SgcnConfig(d_in=2, d_hidden=2, layers=2, variant="plus")
         params = init_params(cfg, seed=5)
         x = np.random.default_rng(2).standard_normal((4, 2))
-        state1 = forward_layer1(g, x, params)
-        plus = forward_layer_plus(g, state1, params)
-        standard = forward_layer(g, state1, params, layer=2)
+        plus = forward_pass(g, x, params, cfg)[1]
+        standard = forward_pass(g, x, params, standard_config(cfg))[1]
         assert plus.friend == pytest.approx(standard.friend)
 
     def test_no_negative_neighbors_reduces_to_self_slot(self):
@@ -185,8 +175,7 @@ class TestPlusVariant:
         cfg = SgcnConfig(d_in=2, d_hidden=2, layers=2, variant="plus")
         params = init_params(cfg, seed=6)
         x = np.random.default_rng(3).standard_normal((3, 2))
-        state1 = forward_layer1(g, x, params)
-        plus = forward_layer_plus(g, state1, params)
+        state1, plus = forward_pass(g, x, params, cfg)
         h = cfg.d_hidden
         inputs = np.hstack([np.zeros((3, h)), np.zeros((3, h)), state1.enemy])
         assert plus.enemy == pytest.approx(np.tanh(inputs @ params.w_enemy[1].T))
@@ -198,8 +187,7 @@ class TestPlusVariant:
         cfg = SgcnConfig(d_in=2, d_hidden=2, layers=2, variant="plus")
         params = init_params(cfg, seed=7)
         x = np.random.default_rng(4).standard_normal((3, 2))
-        state1 = forward_layer1(g, x, params)
-        plus = forward_layer_plus(g, state1, params)
+        state1, plus = forward_pass(g, x, params, cfg)
         from sgcn.model import neighbor_mean_ops
 
         pos_mean, neg_mean = neighbor_mean_ops(g)
@@ -213,7 +201,7 @@ class TestPlusVariant:
         assert plus.enemy == pytest.approx(np.tanh(enemy_in @ params.w_enemy[1].T))
         # On this mixed-sign instance the standard layer disagrees on both
         # tracks: the cross-track slots carry information the plus drops.
-        standard = forward_layer(g, state1, params, layer=2)
+        standard = forward_pass(g, x, params, standard_config(cfg))[1]
         assert np.abs(standard.friend - plus.friend).max() > 1e-9
         assert np.abs(standard.enemy - plus.enemy).max() > 1e-9
 
@@ -225,7 +213,7 @@ class TestEmbedAll:
         params = init_params(cfg, seed=8)
         x = np.random.default_rng(5).standard_normal((3, 2))
         z = embed_all(g, x, params, cfg)
-        state = forward_layer1(g, x, params)
+        (state,) = forward_pass(g, x, params, cfg)
         assert z.shape == (3, 8)
         assert z == pytest.approx(np.hstack([state.friend, state.enemy]))
 
@@ -290,15 +278,15 @@ class TestEmbedAll:
         params = init_params(cfg, seed=13)
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 2))
-        base = forward_layer1(g, x, params)
+        (base,) = forward_pass(g, x, params, cfg)
         x_neg = x.copy()
         x_neg[2] += 1.0  # negative neighbor of node 0
-        after = forward_layer1(g, x_neg, params)
+        (after,) = forward_pass(g, x_neg, params, cfg)
         assert np.array_equal(base.friend[0], after.friend[0])
         assert np.abs(after.enemy[0] - base.enemy[0]).max() > 1e-12
         x_pos = x.copy()
         x_pos[1] += 1.0  # positive neighbor of node 0
-        after = forward_layer1(g, x_pos, params)
+        (after,) = forward_pass(g, x_pos, params, cfg)
         assert np.array_equal(base.enemy[0], after.enemy[0])
         assert np.abs(after.friend[0] - base.friend[0]).max() > 1e-12
 
