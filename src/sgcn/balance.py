@@ -14,6 +14,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+import scipy.sparse
+
 from .graph import SignedGraph
 
 __all__ = [
@@ -88,20 +91,18 @@ def reach_sets(g: SignedGraph, i: int, max_length: int) -> ReachSets:
         raise ValueError(f"node id {i} out of range for n={g.n}")
     if max_length < 1:
         raise ValueError(f"walk length must be >= 1, got {max_length}")
-    balanced: list[frozenset[int]] = [frozenset(g.pos_adj[i])]
-    unbalanced: list[frozenset[int]] = [frozenset(g.neg_adj[i])]
-    for _ in range(max_length - 1):
-        prev_b, prev_u = balanced[-1], unbalanced[-1]
-        next_b: set[int] = set()
-        next_u: set[int] = set()
-        for k in prev_b:
-            next_b.update(g.pos_adj[k])
-            next_u.update(g.neg_adj[k])
-        for k in prev_u:
-            next_b.update(g.neg_adj[k])
-            next_u.update(g.pos_adj[k])
-        balanced.append(frozenset(next_b))
-        unbalanced.append(frozenset(next_u))
+    pos, neg = g.adj > 0, g.adj < 0
+    # Node masks at the current walk length, starting from the empty walk.
+    at_balanced, at_unbalanced = np.arange(g.n) == i, np.zeros(g.n, dtype=bool)
+    balanced: list[frozenset[int]] = []
+    unbalanced: list[frozenset[int]] = []
+    for _ in range(max_length):
+        at_balanced, at_unbalanced = (
+            (pos @ at_balanced) | (neg @ at_unbalanced),
+            (pos @ at_unbalanced) | (neg @ at_balanced),
+        )
+        balanced.append(frozenset(np.flatnonzero(at_balanced).tolist()))
+        unbalanced.append(frozenset(np.flatnonzero(at_unbalanced).tolist()))
     return ReachSets(origin=i, balanced=tuple(balanced), unbalanced=tuple(unbalanced))
 
 
@@ -128,24 +129,13 @@ class TriangleCensus(NamedTuple):
 
 def triangle_census(g: SignedGraph) -> TriangleCensus:
     """Count each undirected triangle once, bucketed by negative-edge count."""
+    upper = scipy.sparse.triu(g.adj, k=1, format="csr")
+    by_sign = ((upper > 0).astype(np.int64), (upper < 0).astype(np.int64))  # by negative count
     counts = [0, 0, 0, 0]
-    sign_of: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for u in range(g.n):
-        for v in g.pos_adj[u]:
-            sign_of[u][v] = 1
-        for v in g.neg_adj[u]:
-            sign_of[u][v] = -1
-    for u in range(g.n):
-        nbrs = sorted(sign_of[u])
-        for v in nbrs:
-            if v <= u:
-                continue
-            for w in sign_of[v]:
-                if w <= v:
-                    continue
-                s_uw = sign_of[u].get(w)
-                if s_uw is None:
-                    continue
-                negatives = (sign_of[u][v] < 0) + (sign_of[v][w] < 0) + (s_uw < 0)
-                counts[negatives] += 1
+    # Each triangle u < v < w is counted once, as the path u-v-w closed by u-w.
+    for a, first in enumerate(by_sign):
+        for b, second in enumerate(by_sign):
+            paths = first @ second
+            for c, closing in enumerate(by_sign):
+                counts[a + b + c] += int(paths.multiply(closing).sum())
     return TriangleCensus(*counts)

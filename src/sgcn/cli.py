@@ -27,6 +27,7 @@ from .spectral import spectral_embedding
 from .training import TrainConfig, fit
 
 _OUT_ENV = "SGCN_OUT_DIR"
+_MODEL_METHODS = ("sgcn-1", "sgcn-1+", "sgcn-2")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if method:
             p.add_argument(
                 "--method",
-                choices=["sse", "sgcn-1", "sgcn-1+", "sgcn-2"],
+                choices=["sse", *_MODEL_METHODS],
                 default="sgcn-2",
             )
         if training:
@@ -204,8 +205,14 @@ def _cmd_eval(args, emit):
                 f"no checkpoint at {checkpoint}; run the train command first"
             )
         sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
-        # Any other split would hold out edges the weights were fit on.
-        for key, value in _split_of(args).items():
+        trained_on["method"] = next(
+            (m for m in _MODEL_METHODS
+             if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
+            sgcn_cfg,
+        )
+        # Any other split would hold out edges the weights were fit on, and
+        # any other method would name the wrong model in the report.
+        for key, value in {**_split_of(args), "method": args.method}.items():
             if trained_on[key] != value:
                 raise ValueError(
                     f"checkpoint was trained with {key}={trained_on[key]!r}, "

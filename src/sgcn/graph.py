@@ -1,19 +1,22 @@
 """Signed-graph data model, edge-list ingestion, and train/test splitting.
 
-A signed network is stored as per-node adjacency lists split by edge sign.
-Graphs are undirected, simple (no self-loops, no parallel edges), and a node
-pair carries at most one sign. Raw datasets are directed rating streams; they
-are folded into this undirected form by :func:`to_undirected`.
+A signed network is stored as one sparse signed adjacency matrix in CSR
+form, +1 for a positive edge and -1 for a negative one, which every other
+module reads as is. Graphs are undirected, simple (no self-loops, no
+parallel edges), and a node pair carries at most one sign. Raw datasets are
+directed rating streams; they are folded into this undirected form by
+:func:`to_undirected`.
 """
 
 from __future__ import annotations
 
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "SignedGraph",
@@ -46,19 +49,24 @@ class SignedEdge(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Immutable undirected signed graph on nodes ``0..n-1``.
 
-    ``pos_adj[i]`` / ``neg_adj[i]`` are sorted tuples of the neighbors of
-    ``i`` across positive / negative edges. ``raw_ids``, when present, maps
-    each internal node id back to the id used in the source data.
+    ``adj`` is the symmetric ``n x n`` signed adjacency: a CSR matrix with
+    sorted, unique column indices in each row, entry ``+1.0`` or ``-1.0``
+    per positive or negative edge, and an empty diagonal. Its arrays are
+    read-only. ``raw_ids``, when present, maps each internal node id back to
+    the id used in the source data. Two graphs are equal when they have the
+    same nodes and signed edges, whatever their ``raw_ids``.
     """
 
-    n: int
-    pos_adj: tuple[tuple[int, ...], ...]
-    neg_adj: tuple[tuple[int, ...], ...]
-    raw_ids: tuple[int, ...] | None = field(default=None, compare=False)
+    adj: scipy.sparse.csr_matrix
+    raw_ids: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        for arr in (self.adj.data, self.adj.indices, self.adj.indptr):
+            arr.flags.writeable = False
 
     @staticmethod
     def from_edges(
@@ -69,73 +77,79 @@ class SignedGraph:
         """Build a graph from undirected ``(u, v, sign)`` triples.
 
         Each unordered pair may appear once. Self-loops, repeated pairs, and
-        signs outside {+1, -1} are rejected.
+        signs outside {+1, -1} are rejected; the error names the first
+        offending triple.
         """
-        pos: list[set[int]] = [set() for _ in range(n)]
-        neg: list[set[int]] = [set() for _ in range(n)]
-        for u, v, sign in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if sign not in (1, -1):
-                raise ValueError(f"edge ({u}, {v}) has invalid sign {sign}")
-            if v in pos[u] or v in neg[u]:
-                raise ValueError(f"pair ({u}, {v}) listed more than once")
-            side = pos if sign == 1 else neg
-            side[u].add(v)
-            side[v].add(u)
-        return SignedGraph(
-            n=n,
-            pos_adj=tuple(tuple(sorted(s)) for s in pos),
-            neg_adj=tuple(tuple(sorted(s)) for s in neg),
-            raw_ids=raw_ids,
+        triples = np.asarray(list(edges)).reshape(-1, 3)
+        u, v, sign = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
+        repeated = np.ones(len(triples), dtype=bool)
+        repeated[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = False
+        checks = (
+            ((u < 0) | (u >= n) | (v < 0) | (v >= n), "edge ({u}, {v}) out of range for n={n}"),
+            (u == v, "self-loop at node {u}"),
+            ((sign != 1) & (sign != -1), "edge ({u}, {v}) has invalid sign {s}"),
+            (repeated, "pair ({u}, {v}) listed more than once"),
         )
+        flagged = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+        if len(flagged):
+            k = flagged[0]
+            message = next(text for mask, text in checks if mask[k])
+            raise ValueError(message.format(u=u[k], v=v[k], s=sign[k], n=n))
+        adj = scipy.sparse.csr_matrix(
+            (np.r_[sign, sign].astype(np.float64), (np.r_[u, v], np.r_[v, u])), shape=(n, n)
+        )
+        return SignedGraph(adj=adj, raw_ids=raw_ids)
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
 
     def validate(self) -> None:
         """Re-check the structural invariants; raises ``ValueError`` on any hole."""
-        if len(self.pos_adj) != self.n or len(self.neg_adj) != self.n:
-            raise ValueError("adjacency length does not match node count")
-        for adj in (self.pos_adj, self.neg_adj):
-            for i, nbrs in enumerate(adj):
-                if list(nbrs) != sorted(set(nbrs)):
-                    raise ValueError(f"adjacency of node {i} not sorted/unique")
-                if i in nbrs:
-                    raise ValueError(f"self-loop at node {i}")
-                for j in nbrs:
-                    if not 0 <= j < self.n:
-                        raise ValueError(f"neighbor {j} of node {i} out of range")
-                    if i not in adj[j]:
-                        raise ValueError(f"asymmetric edge ({i}, {j})")
-        for i in range(self.n):
-            overlap = set(self.pos_adj[i]) & set(self.neg_adj[i])
-            if overlap:
-                raise ValueError(f"pair ({i}, {overlap.pop()}) is both positive and negative")
+        # adj must be what from_edges builds from its entries on and above the diagonal.
+        rows = np.repeat(np.arange(self.n), np.diff(self.adj.indptr))
+        entries = np.column_stack([rows, self.adj.indices, self.adj.data])
+        rebuilt = SignedGraph.from_edges(self.n, entries[rows <= self.adj.indices].tolist()).adj
+        same = [np.array_equal(getattr(self.adj, k), getattr(rebuilt, k))
+                for k in ("indptr", "indices", "data")]
+        if self.adj.format != "csr" or self.adj.shape != rebuilt.shape or not all(same):
+            raise ValueError("adjacency is not a symmetric CSR matrix with sorted indices")
+
+    def edge_array(self) -> np.ndarray:
+        """The :meth:`edges` as an ``(E, 3)`` int array of ``(u, v, sign)`` rows."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.adj.indptr))
+        upper = self.adj.indices > rows
+        u, v = rows[upper], self.adj.indices[upper].astype(np.int64)
+        sign = self.adj.data[upper].astype(np.int64)
+        return np.column_stack([u, v, sign])[np.lexsort((v, -sign, u))]
 
     def edges(self) -> Iterator[SignedEdge]:
-        """Yield each undirected edge once, oriented ``u < v``, sorted."""
-        for u in range(self.n):
-            for v in self.pos_adj[u]:
-                if u < v:
-                    yield SignedEdge(u, v, 1)
-            for v in self.neg_adj[u]:
-                if u < v:
-                    yield SignedEdge(u, v, -1)
+        """Yield each edge once as ``u < v``: by ``u``, positive before negative, then by ``v``."""
+        for u, v, sign in self.edge_array().tolist():
+            yield SignedEdge(u, v, sign)
 
     @property
     def num_pos_edges(self) -> int:
-        return sum(len(a) for a in self.pos_adj) // 2
+        return int(np.count_nonzero(self.adj.data > 0)) // 2
 
     @property
     def num_neg_edges(self) -> int:
-        return sum(len(a) for a in self.neg_adj) // 2
+        return int(np.count_nonzero(self.adj.data < 0)) // 2
 
     @property
     def num_edges(self) -> int:
-        return self.num_pos_edges + self.num_neg_edges
+        return self.adj.nnz // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.pos_adj[u] or v in self.neg_adj[u]
+        return v in self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
+
+    def __eq__(self, other):
+        if not isinstance(other, SignedGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array(), other.edge_array())
+
+    def __hash__(self):
+        return hash((self.n, self.edge_array().tobytes()))
 
 
 @dataclass(frozen=True)
@@ -234,23 +248,25 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
     """
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    edges = list(g.edges())
+    edges = g.edge_array()
     if len(edges) < 5:
         raise ValueError(f"graph has {len(edges)} edges; need at least 5 to split")
     n_test = int(round(test_fraction * len(edges)))
     rng = np.random.default_rng(seed)
-    test_idx = set(rng.choice(len(edges), size=n_test, replace=False).tolist())
-    test = tuple(e for i, e in enumerate(edges) if i in test_idx)
-    train_edges = [e for i, e in enumerate(edges) if i not in test_idx]
-    train = SignedGraph.from_edges(g.n, train_edges, raw_ids=g.raw_ids)
+    held = np.zeros(len(edges), dtype=bool)
+    held[rng.choice(len(edges), size=n_test, replace=False)] = True
+    test = tuple(SignedEdge(*e) for e in edges[held].tolist())
+    train = SignedGraph.from_edges(g.n, edges[~held].tolist(), raw_ids=g.raw_ids)
     return EdgeSplit(train=train, test=test, seed=seed)
 
 
 def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return node ``i``'s positive and negative neighbor lists."""
+    """Return node ``i``'s positive and negative neighbors, each sorted."""
     if not 0 <= i < g.n:
         raise ValueError(f"node id {i} out of range for n={g.n}")
-    return g.pos_adj[i], g.neg_adj[i]
+    row = slice(g.adj.indptr[i], g.adj.indptr[i + 1])
+    nbrs, signs = g.adj.indices[row], g.adj.data[row]
+    return tuple(nbrs[signs > 0].tolist()), tuple(nbrs[signs < 0].tolist())
 
 
 @contextmanager

@@ -57,9 +57,8 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 
 
 def save_graph(path, g: SignedGraph) -> None:
-    edges = list(g.edges())
-    pos = np.array([(u, v) for u, v, s in edges if s > 0], dtype=np.int64).reshape(-1, 2)
-    neg = np.array([(u, v) for u, v, s in edges if s < 0], dtype=np.int64).reshape(-1, 2)
+    edges = g.edge_array()
+    pos, neg = edges[edges[:, 2] > 0, :2], edges[edges[:, 2] < 0, :2]
     raw = np.asarray(g.raw_ids if g.raw_ids is not None else range(g.n), dtype=np.int64)
     save_arrays(path, n=np.int64(g.n), pos_edges=pos, neg_edges=neg, raw_ids=raw)
 

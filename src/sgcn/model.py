@@ -134,24 +134,17 @@ def neighbor_mean_ops(
 ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
     """Sparse operators taking node features to positive/negative neighbor means.
 
-    Row ``i`` of the positive operator averages over ``pos_adj[i]``; a node
-    with no neighbors of that sign gets an all-zero row, so an empty
-    neighborhood contributes the zero vector.
+    They are the masks ``g.adj > 0`` and ``g.adj < 0`` with each row scaled
+    to sum to one; a node with no neighbors of that sign gets an all-zero
+    row, so an empty neighborhood contributes the zero vector.
     """
-    return _mean_matrix(g.n, g.pos_adj), _mean_matrix(g.n, g.neg_adj)
+    return _row_normalized(g.adj > 0), _row_normalized(g.adj < 0)
 
 
-def _mean_matrix(n: int, adj) -> scipy.sparse.csr_matrix:
-    rows, cols, vals = [], [], []
-    for i, nbrs in enumerate(adj):
-        if not nbrs:
-            continue
-        w = 1.0 / len(nbrs)
-        for j in nbrs:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
+def _row_normalized(mask: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    counts = np.diff(mask.indptr)
+    weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    return scipy.sparse.csr_matrix((weights, mask.indices, mask.indptr), shape=mask.shape)
 
 
 def forward_pass(

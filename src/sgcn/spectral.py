@@ -29,55 +29,39 @@ import scipy.sparse.linalg
 
 from .graph import SignedGraph
 
-__all__ = ["signed_adjacency", "signed_laplacian", "spectral_embedding"]
+__all__ = ["signed_laplacian", "spectral_embedding"]
 
 # Above this node count the dense eigensolver's O(n^2) memory stops being
 # desk-friendly and a sparse shift-invert solver takes over.
 _DENSE_LIMIT = 8000
 
 
-def signed_adjacency(g: SignedGraph) -> scipy.sparse.csr_matrix:
-    """The n-by-n sparse adjacency with entries in {+1, -1, 0}."""
-    rows, cols, vals = [], [], []
-    for u in range(g.n):
-        for v in g.pos_adj[u]:
-            rows.append(u)
-            cols.append(v)
-            vals.append(1.0)
-        for v in g.neg_adj[u]:
-            rows.append(u)
-            cols.append(v)
-            vals.append(-1.0)
-    return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(g.n, g.n), dtype=np.float64
-    )
-
-
 def signed_laplacian(g: SignedGraph) -> np.ndarray:
     """Dense signed Laplacian ``D - A`` with absolute-degree diagonal."""
     if g.n < 1:
         raise ValueError("graph must have at least one node")
-    adj = signed_adjacency(g)
-    degrees = np.asarray(np.abs(adj).sum(axis=1)).ravel()
-    lap = -adj.toarray()
+    degrees = np.asarray(np.abs(g.adj).sum(axis=1)).ravel()
+    lap = -g.adj.toarray()
     lap[np.diag_indices(g.n)] = degrees
     return lap
 
 
-def _embedding_operator(g: SignedGraph, normalization: str) -> scipy.sparse.csr_matrix:
-    adj = signed_adjacency(g)
+def _embedding_operator(
+    adj: scipy.sparse.csr_matrix, normalization: str
+) -> scipy.sparse.csr_matrix:
+    n = adj.shape[0]
     degrees = np.asarray(np.abs(adj).sum(axis=1)).ravel()
     if normalization == "none":
         return scipy.sparse.diags(degrees) - adj
     if normalization != "degree":
         raise ValueError(f"unknown normalization {normalization!r}")
-    inv_sqrt = np.zeros(g.n)
+    inv_sqrt = np.zeros(n)
     nonzero = degrees > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
     scaled = adj.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
     # Isolated nodes keep a bare identity row: eigenvalue 1, away from the
     # informative bottom of the [0, 2] spectrum.
-    return scipy.sparse.identity(g.n, format="csr") - scipy.sparse.csr_matrix(scaled)
+    return scipy.sparse.identity(n, format="csr") - scipy.sparse.csr_matrix(scaled)
 
 
 def _null_space_basis(adj: scipy.sparse.csr_matrix, normalization: str) -> np.ndarray:
@@ -140,7 +124,7 @@ def spectral_embedding(
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={g.n}")
-    operator = _embedding_operator(g, normalization)
+    operator = _embedding_operator(g.adj, normalization)
     if g.n <= _DENSE_LIMIT:
         vals, vecs = scipy.linalg.eigh(operator.toarray(), subset_by_index=[0, d - 1])
     else:
@@ -151,7 +135,7 @@ def spectral_embedding(
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    null = _null_space_basis(signed_adjacency(g), normalization)[:, :d]
+    null = _null_space_basis(g.adj, normalization)[:, :d]
     k = null.shape[1]
     vecs[:, :k] = null
     vals[:k] = 0.0

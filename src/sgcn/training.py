@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedGraph
+from .graph import SignedGraph, neighbor_sets
 from .model import (
     LayerState,
     SgcnConfig,
@@ -165,17 +165,16 @@ def sample_batch(train: SignedGraph, cfg: TrainConfig, epoch: int) -> TrainBatch
     partner for the hinge terms. Class weights are set to
     ``total / (3 * count)`` so rarer labels weigh more.
     """
-    if train.n < 2:
+    n = train.n
+    if n < 2:
         raise SamplingError("graph too small to sample pairs from")
     rng = np.random.default_rng([cfg.seed % 2**32, epoch % 2**32])
-    n_anchors = min(cfg.batch_nodes, train.n)
-    anchors = rng.choice(train.n, size=n_anchors, replace=False)
-    linked = [set(train.pos_adj[i]) | set(train.neg_adj[i]) for i in range(train.n)]
+    anchors = rng.choice(n, size=min(cfg.batch_nodes, n), replace=False)
 
-    def draw_unlinked(i: int) -> int:
+    def draw_unlinked(i: int, linked: set[int]) -> int:
         for _ in range(200):
-            k = int(rng.integers(train.n))
-            if k != i and k not in linked[i]:
+            k = int(rng.integers(n))
+            if k != i and k not in linked:
                 return k
         raise SamplingError(
             f"no unlinked partner found for node {i} after 200 draws"
@@ -185,9 +184,11 @@ def sample_batch(train: SignedGraph, cfg: TrainConfig, epoch: int) -> TrainBatch
     pos_triplets: list[tuple[int, int, int]] = []
     neg_triplets: list[tuple[int, int, int]] = []
     for i in anchors.tolist():
+        pos_nbrs, neg_nbrs = neighbor_sets(train, i)
+        linked = set(pos_nbrs) | set(neg_nbrs)
         for nbrs, sign, triplets in (
-            (train.pos_adj[i], 1, pos_triplets),
-            (train.neg_adj[i], -1, neg_triplets),
+            (pos_nbrs, 1, pos_triplets),
+            (neg_nbrs, -1, neg_triplets),
         ):
             take = min(cfg.pairs_per_class, len(nbrs))
             if take:
@@ -195,9 +196,9 @@ def sample_batch(train: SignedGraph, cfg: TrainConfig, epoch: int) -> TrainBatch
                 for idx in chosen.tolist():
                     j = nbrs[idx]
                     pairs.append((i, j, sign))
-                    triplets.append((i, j, draw_unlinked(i)))
+                    triplets.append((i, j, draw_unlinked(i, linked)))
         for _ in range(cfg.pairs_per_class):
-            pairs.append((i, draw_unlinked(i), 0))
+            pairs.append((i, draw_unlinked(i, linked), 0))
 
     pairs, pos_triplets, neg_triplets = (
         np.array(rows, dtype=np.intp).reshape(-1, 3)

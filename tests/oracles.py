@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from sgcn.graph import SignedGraph
+from sgcn.graph import SignedGraph, neighbor_sets
 
 
 def random_signed_graph(rng, n, edge_prob=0.4, neg_frac=0.3) -> SignedGraph:
@@ -26,9 +26,10 @@ def random_signed_graph(rng, n, edge_prob=0.4, neg_frac=0.3) -> SignedGraph:
 
 
 def signed_neighbors(g: SignedGraph, u: int):
-    for v in g.pos_adj[u]:
+    pos, neg = neighbor_sets(g, u)
+    for v in pos:
         yield v, 1
-    for v in g.neg_adj[u]:
+    for v in neg:
         yield v, -1
 
 
@@ -63,7 +64,7 @@ def components(g: SignedGraph):
         while stack:
             u = stack.pop()
             comp.append(u)
-            for v in g.pos_adj[u] + g.neg_adj[u]:
+            for v, _ in signed_neighbors(g, u):
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)

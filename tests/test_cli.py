@@ -130,8 +130,9 @@ class TestTrainEval:
         [
             (["--test-fraction", "0.3"], "test_fraction=0.2", "test_fraction=0.3"),
             (["--seed", "4"], "seed=2", "seed=4"),
+            (["--method", "sgcn-1"], "method='sgcn-2'", "method='sgcn-1'"),
         ],
-        ids=["test-fraction", "seed"],
+        ids=["test-fraction", "seed", "method"],
     )
     def test_eval_refuses_another_split(self, dataset, tmp_path, capsys,
                                         eval_flags, trained, given):

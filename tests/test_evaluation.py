@@ -13,7 +13,7 @@ from sgcn.evaluation import (
     fit_logreg,
     run_experiment,
 )
-from sgcn.graph import SignedEdge, SignedGraph, split_train_test, to_undirected
+from sgcn.graph import SignedEdge, SignedGraph, neighbor_sets, split_train_test, to_undirected
 from sgcn.spectral import spectral_embedding
 from sgcn.training import TrainConfig
 
@@ -267,9 +267,9 @@ class TestRunExperiment:
         # Rebuild from full records vs train-only records over the same
         # node universe (every node keeps at least one train edge here).
         assert all(
-            split.train.pos_adj[i] or split.train.neg_adj[i]
+            any(neighbor_sets(split.train, i))
             for i in range(g.n)
-            if g.pos_adj[i] or g.neg_adj[i]
+            if any(neighbor_sets(g, i))
         )
         full_records = [(u, v, s) for u, v, s in g.edges()]
         train_records = [(u, v, s) for u, v, s in split.train.edges()]

@@ -1,7 +1,10 @@
+import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sgcn.graph import (
     InvalidRatingError,
@@ -14,6 +17,14 @@ from sgcn.graph import (
 )
 
 from oracles import random_signed_graph
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def csr(n, data, indices, indptr):
+    """A CSR matrix taken as given: no sorting, no summing of duplicates."""
+    return scipy.sparse.csr_matrix((np.array(data), np.array(indices), np.array(indptr)),
+                                   shape=(n, n))
 
 
 class TestLoadEdgeList:
@@ -97,7 +108,7 @@ class TestToUndirected:
             if not records:
                 continue
             back = to_undirected(records)
-            kept = sorted(i for i in range(g.n) if g.pos_adj[i] or g.neg_adj[i])
+            kept = sorted(i for i in range(g.n) if any(neighbor_sets(g, i)))
             assert back.raw_ids == tuple(kept)
             relabel = {raw: new for new, raw in enumerate(back.raw_ids)}
             original = {(relabel[u], relabel[v], s) for u, v, s in records}
@@ -132,14 +143,48 @@ class TestSignedGraph:
             SignedGraph.from_edges(2, [(0, 1, 2)])
 
     def test_validate_catches_asymmetry(self):
-        g = SignedGraph(n=2, pos_adj=((1,), ()), neg_adj=((), ()))
-        with pytest.raises(ValueError):
+        g = SignedGraph(adj=csr(2, data=[1.0], indices=[1], indptr=[0, 1, 1]))
+        with pytest.raises(ValueError, match="not a symmetric CSR matrix"):
             g.validate()
 
     def test_validate_catches_sign_overlap(self):
-        g = SignedGraph(n=2, pos_adj=((1,), (0,)), neg_adj=((1,), (0,)))
-        with pytest.raises(ValueError):
+        # Pair (0, 1) stored twice, once per sign: a non-canonical CSR.
+        g = SignedGraph(adj=csr(2, data=[1.0, -1.0, 1.0, -1.0], indices=[1, 1, 0, 0],
+                                indptr=[0, 2, 4]))
+        with pytest.raises(ValueError, match="pair \\(0, 1\\) listed more than once"):
             g.validate()
+
+    def test_validate_catches_diagonal_entry(self):
+        g = SignedGraph(adj=csr(2, data=[1.0], indices=[0], indptr=[0, 1, 1]))
+        with pytest.raises(ValueError, match="self-loop at node 0"):
+            g.validate()
+
+    @pytest.mark.parametrize("value", [2.0, 0.0, 0.5, -3.0])
+    def test_validate_catches_data_outside_signs(self, value):
+        g = SignedGraph(adj=csr(2, data=[value, value], indices=[1, 0], indptr=[0, 1, 2]))
+        with pytest.raises(ValueError, match="invalid sign"):
+            g.validate()
+
+    def test_adjacency_is_read_only(self):
+        g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
+        for arr in (g.adj.data, g.adj.indices, g.adj.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert list(g.edges()) == [(0, 1, 1), (1, 2, -1)]
+
+    def test_adjacency_is_symmetric_signed_csr(self):
+        g = SignedGraph.from_edges(3, [(2, 1, -1), (0, 1, 1)])
+        assert g.n == 3
+        assert np.array_equal(g.adj.toarray(), [[0, 1, 0], [1, 0, -1], [0, -1, 0]])
+        assert g.adj.has_sorted_indices
+        g.validate()
+
+    def test_equality_ignores_raw_ids_and_listing_order(self):
+        a = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)], raw_ids=(5, 6, 7))
+        b = SignedGraph.from_edges(3, [(2, 1, -1), (1, 0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a != SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        assert a != SignedGraph.from_edges(4, [(0, 1, 1), (1, 2, -1)])
 
 
 class TestNeighborSets:
@@ -203,6 +248,16 @@ class TestSplitTrainTest:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 split_train_test(g, bad, seed=0)
+
+    @pytest.mark.dataset
+    def test_bitcoin_alpha_held_out_edges_are_pinned(self):
+        # The held-out sample indexes into edges(); any drift in its order
+        # (by u, positive before negative, then by v) changes the split.
+        g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
+        test = split_train_test(g, 0.2, seed=0).test
+        assert test[:5] == ((1, 3, 1), (1, 5, 1), (1, 9, 1), (1, 23, 1), (1, 29, 1))
+        digest = hashlib.sha1(np.array(test, dtype=np.int64).tobytes()).hexdigest()
+        assert digest == "654a11c2737e20e1bf35a48d77b14bbf3f0cdaa6"
 
     def test_too_few_edges(self):
         g = SignedGraph.from_edges(4, [(0, 1, 1), (1, 2, 1)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgcn.balance import reach_sets
-from sgcn.graph import SignedGraph
+from sgcn.graph import SignedGraph, neighbor_sets
 from sgcn.model import (
     SgcnConfig,
     SgcnParams,
@@ -303,7 +303,7 @@ class TestEmbedAll:
             base = states[-1]
             for i in range(g.n):
                 rs = reach_sets(g, i, 2)
-                closure = {i} | set(g.pos_adj[i]) | set(g.neg_adj[i])
+                closure = {i}.union(*neighbor_sets(g, i))
                 expected_friend = closure | rs.balanced_at(2)
                 expected_enemy = closure | rs.unbalanced_at(2)
                 influence_friend, influence_enemy = set(), set()
