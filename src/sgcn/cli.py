@@ -205,21 +205,28 @@ def _cmd_eval(args, emit):
                 f"no checkpoint at {checkpoint}; run the train command first"
             )
         sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
+        graph = _ingest(args)
         trained_on["method"] = next(
             (m for m in _MODEL_METHODS
              if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
             sgcn_cfg,
         )
+        trained_on["dim"], trained_on["hidden_dim"] = sgcn_cfg.d_in, sgcn_cfg.d_hidden
         # Any other split would hold out edges the weights were fit on, and
-        # any other method would name the wrong model in the report.
-        for key, value in {**_split_of(args), "method": args.method}.items():
+        # any other method or width would name the wrong model in the report.
+        given = {
+            **_split_of(args),
+            "method": args.method,
+            "dim": min(args.dim, graph.n),  # as train clips it
+            "hidden_dim": args.hidden_dim,
+        }
+        for key, value in given.items():
             if trained_on[key] != value:
                 raise ValueError(
                     f"checkpoint was trained with {key}={trained_on[key]!r}, "
                     f"eval was given {key}={value!r}"
                 )
         seed = trained_on["seed"]
-        graph = _ingest(args)
         split = split_train_test(graph, trained_on["test_fraction"], seed)
         x = spectral_embedding(split.train, sgcn_cfg.d_in) * np.sqrt(graph.n)
         report = score_embeddings(embed_all(split.train, x, params, sgcn_cfg), split)

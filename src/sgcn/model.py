@@ -40,6 +40,7 @@ __all__ = [
     "LayerState",
     "init_params",
     "neighbor_mean_ops",
+    "first_layer_inputs",
     "forward_pass",
     "backward_pass",
     "embed_all",
@@ -111,10 +112,15 @@ class SgcnParams:
 
 
 class LayerState(NamedTuple):
-    """Hidden matrices (n x d_hidden) of both tracks at one layer."""
+    """Hidden matrices (n x d_hidden) of both tracks at one layer.
+
+    ``inputs`` holds the friend and enemy layer inputs the weights acted on,
+    which :func:`backward_pass` reads; it is ``None`` for the features.
+    """
 
     friend: np.ndarray
     enemy: np.ndarray
+    inputs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_params(cfg: SgcnConfig, seed: int) -> SgcnParams:
@@ -147,17 +153,28 @@ def _row_normalized(mask: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((weights, mask.indices, mask.indptr), shape=mask.shape)
 
 
+def first_layer_inputs(
+    x: np.ndarray, ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first layer's friend and enemy inputs ``[P.x, x]`` and ``[N.x, x]``."""
+    x = np.asarray(x, dtype=np.float64)
+    features = LayerState(friend=x, enemy=x)
+    return tuple(_layer_input(blocks, features, ops) for blocks in _FIRST_LAYER)
+
+
 def forward_pass(
     g: SignedGraph,
     x: np.ndarray,
     params: SgcnParams,
     cfg: SgcnConfig,
     ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix] | None = None,
+    first_inputs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[LayerState]:
     """Run all layers and return every intermediate :class:`LayerState`.
 
-    ``ops`` may carry the pair from :func:`neighbor_mean_ops` to skip
-    rebuilding it, e.g. across training epochs on a fixed graph.
+    ``ops`` may carry the pair from :func:`neighbor_mean_ops` and
+    ``first_inputs`` the pair from :func:`first_layer_inputs` of ``x`` to
+    skip rebuilding them, e.g. across training epochs on a fixed graph.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n:
@@ -172,23 +189,24 @@ def forward_pass(
             f"got {x.shape[1]}"
         )
     ops = ops if ops is not None else neighbor_mean_ops(g)
-    below = LayerState(friend=x, enemy=x)  # what the first layer reads
+    inputs = first_inputs if first_inputs is not None else first_layer_inputs(x, ops)
     states = []
     for layer in range(cfg.layers):
-        friend_in, enemy_in = (
-            _layer_input(blocks, below, ops) for blocks in _layer_table(cfg, layer)
-        )
-        below = LayerState(
+        if layer:
+            inputs = tuple(
+                _layer_input(blocks, states[-1], ops) for blocks in _LATER_LAYERS[cfg.variant]
+            )
+        friend_in, enemy_in = inputs
+        states.append(LayerState(
             friend=np.tanh(friend_in @ params.w_friend[layer].T),
             enemy=np.tanh(enemy_in @ params.w_enemy[layer].T),
-        )
-        states.append(below)
+            inputs=(friend_in, enemy_in),
+        ))
     return states
 
 
 def backward_pass(
     states: list[LayerState],
-    x: np.ndarray,
     params: SgcnParams,
     cfg: SgcnConfig,
     dz: np.ndarray,
@@ -196,30 +214,27 @@ def backward_pass(
 ) -> SgcnParams:
     """Gradient of an objective with respect to every weight matrix.
 
-    ``states`` and ``ops`` are those :func:`forward_pass` used, and ``dz``
-    is the objective's gradient at the embedding ``[friend, enemy]`` of the
-    last layer. Reverse mode through the same layer tables: each block's
-    gradient goes back through the transpose of its operator to the track
-    it was read from.
+    ``states`` and ``ops`` are those :func:`forward_pass` returned and used,
+    and ``dz`` is the objective's gradient at the embedding
+    ``[friend, enemy]`` of the last layer. Reverse mode through the same
+    layer tables: each block's gradient goes back through the transpose of
+    its operator to the track it was read from.
     """
     h = cfg.d_hidden
     weights = (params.w_friend, params.w_enemy)
     grads = ([None] * cfg.layers, [None] * cfg.layers)
-    inputs = [LayerState(friend=x, enemy=x)] + states[:-1]
     g_state = [dz[:, :h], dz[:, h:]]
     for layer in range(cfg.layers - 1, -1, -1):
-        table = _layer_table(cfg, layer)
-        d_in = []
-        for track, blocks in enumerate(table):
-            # tanh' = 1 - tanh^2, read off the layer's output.
-            d_pre = g_state[track] * (1.0 - states[layer][track] ** 2)
-            grads[track][layer] = d_pre.T @ _layer_input(blocks, inputs[layer], ops)
-            d_in.append(d_pre @ weights[track][layer])
+        # tanh' = 1 - tanh^2, read off the layer's output.
+        d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
+        for track in (_F, _E):
+            grads[track][layer] = d_pre[track].T @ states[layer].inputs[track]
         if layer == 0:
             break  # the features x are not trained
+        d_in = [d_pre[track] @ weights[track][layer] for track in (_F, _E)]
         # Slot by slot, so each track sums its P, N and own parts in that order.
         g_state = [None, None]
-        for slot, column in enumerate(zip(*table)):
+        for slot, column in enumerate(zip(*_LATER_LAYERS[cfg.variant])):
             for track, block in enumerate(column):
                 if block is None:
                     continue
@@ -241,10 +256,6 @@ def embed_all(
     """Node embeddings: last layer's friend and enemy states, concatenated."""
     final = forward_pass(g, x, params, cfg, ops=ops)[-1]
     return np.hstack([final.friend, final.enemy])
-
-
-def _layer_table(cfg: SgcnConfig, layer: int):
-    return _FIRST_LAYER if layer == 0 else _LATER_LAYERS[cfg.variant]
 
 
 def _layer_input(blocks, state: LayerState, ops) -> np.ndarray:

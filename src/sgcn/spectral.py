@@ -13,6 +13,12 @@ which starves the embedding of any information about the main component.
 Normalization keeps fragment eigenvectors at zero but moves isolated nodes
 to eigenvalue 1, out of the informative bottom of the spectrum.
 
+One solver computes every embedding narrower than the graph: ARPACK's
+shift-invert Lanczos (``scipy.sparse.linalg.eigsh``) on the sparse operator,
+started from a fixed seeded vector, so that a fresh process repeats the same
+bits; ARPACK otherwise draws its own random start. An embedding as wide as
+the graph is a full dense eigendecomposition, which ARPACK cannot compute.
+
 The zero eigenvalue has one eigenvector per balanced component (Kunegis et
 al., SDM 2010), and an eigensolver may return any orthonormal basis of that
 space, one that changes with the solver, the LAPACK build and its thread
@@ -23,17 +29,12 @@ one canonical vector per balanced component.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .graph import SignedGraph
 
 __all__ = ["signed_laplacian", "spectral_embedding"]
-
-# Above this node count the dense eigensolver's O(n^2) memory stops being
-# desk-friendly and a sparse shift-invert solver takes over.
-_DENSE_LIMIT = 8000
 
 
 def signed_laplacian(g: SignedGraph) -> np.ndarray:
@@ -119,19 +120,23 @@ def spectral_embedding(
     ordered by ascending eigenvalue. The zero-eigenvalue columns are the
     canonical per-component vectors of :func:`_null_space_basis`. Each
     column's sign is then fixed so that its largest-magnitude entry is
-    positive, making the output reproducible across runs, solvers and BLAS
-    builds.
+    positive. The output is then the same, bit for bit, in every run and
+    process; across BLAS builds, the columns of simple eigenvalues agree up
+    to rounding.
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={g.n}")
     operator = _embedding_operator(g.adj, normalization)
-    if g.n <= _DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(operator.toarray(), subset_by_index=[0, d - 1])
+    if d == g.n:
+        vals, vecs = np.linalg.eigh(operator.toarray())
     else:
         # Shift-invert around a point just below the spectrum; the operator
-        # is PSD so a negative sigma keeps the factorization nonsingular.
+        # is PSD so a negative sigma keeps the factorization nonsingular. The
+        # start vector is seeded, uniform on (-1, 1) as in scikit-learn's
+        # _init_arpack_v0; ARPACK's own random start differs per process.
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, g.n)
         vals, vecs = scipy.sparse.linalg.eigsh(
-            operator.tocsc(), k=d, sigma=-0.01, which="LM"
+            operator.tocsc(), k=d, sigma=-0.01, which="LM", v0=v0
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]

@@ -23,13 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .graph import SignedGraph, neighbor_sets
+from .graph import SignedGraph
 from .model import (
     LayerState,
     SgcnConfig,
     SgcnParams,
     backward_pass,
+    first_layer_inputs,
     forward_pass,
     init_params,
     neighbor_mean_ops,
@@ -164,6 +166,12 @@ def sample_batch(train: SignedGraph, cfg: TrainConfig, epoch: int) -> TrainBatch
     and no-link pairs; every linked pair additionally gets a fresh unlinked
     partner for the hinge terms. Class weights are set to
     ``total / (3 * count)`` so rarer labels weigh more.
+
+    The draws are made for all anchors at once: the anchors, then one random
+    key per neighbor entry (the lowest keys of each anchor and sign are
+    kept), then the unlinked partners, redrawn where they hit the anchor or
+    one of its neighbors. This is the structured negative sampling of
+    PyTorch Geometric's ``SignedGCN``.
     """
     n = train.n
     if n < 2:
@@ -171,42 +179,63 @@ def sample_batch(train: SignedGraph, cfg: TrainConfig, epoch: int) -> TrainBatch
     rng = np.random.default_rng([cfg.seed % 2**32, epoch % 2**32])
     anchors = rng.choice(n, size=min(cfg.batch_nodes, n), replace=False)
 
-    def draw_unlinked(i: int, linked: set[int]) -> int:
-        for _ in range(200):
-            k = int(rng.integers(n))
-            if k != i and k not in linked:
-                return k
-        raise SamplingError(
-            f"no unlinked partner found for node {i} after 200 draws"
-        )
+    # Every adjacency entry of every anchor, grouped by anchor.
+    adj = train.adj
+    degrees = np.diff(adj.indptr)[anchors]
+    slot = np.repeat(np.arange(len(anchors)), degrees)
+    first = np.cumsum(degrees) - degrees
+    entry = np.arange(len(slot)) + np.repeat(adj.indptr[anchors] - first, degrees)
+    owner, nbr = anchors[slot], adj.indices[entry]
+    sign = adj.data[entry].astype(np.intp)
+    # Within each (anchor, sign) group, keep the pairs_per_class lowest keys.
+    order = np.lexsort((rng.random(len(entry)), -sign, slot))
+    group = 2 * slot[order] + (sign[order] < 0)
+    rank = np.arange(len(order)) - np.searchsorted(group, group)
+    kept = order[rank < cfg.pairs_per_class]
 
-    pairs: list[tuple[int, int, int]] = []
-    pos_triplets: list[tuple[int, int, int]] = []
-    neg_triplets: list[tuple[int, int, int]] = []
-    for i in anchors.tolist():
-        pos_nbrs, neg_nbrs = neighbor_sets(train, i)
-        linked = set(pos_nbrs) | set(neg_nbrs)
-        for nbrs, sign, triplets in (
-            (pos_nbrs, 1, pos_triplets),
-            (neg_nbrs, -1, neg_triplets),
-        ):
-            take = min(cfg.pairs_per_class, len(nbrs))
-            if take:
-                chosen = rng.choice(len(nbrs), size=take, replace=False)
-                for idx in chosen.tolist():
-                    j = nbrs[idx]
-                    pairs.append((i, j, sign))
-                    triplets.append((i, j, draw_unlinked(i, linked)))
-        for _ in range(cfg.pairs_per_class):
-            pairs.append((i, draw_unlinked(i, linked), 0))
-
+    i, j, s_ij = owner[kept], nbr[kept], sign[kept]
+    # One unlinked partner per kept linked pair, then pairs_per_class no-link
+    # pairs per anchor.
+    i_none = np.repeat(anchors, cfg.pairs_per_class)
+    partners = _draw_unlinked(adj, np.concatenate([i, i_none]), rng)
+    k, j_none = partners[: len(i)], partners[len(i) :]
+    triplets = np.column_stack([i, j, k])
+    pairs = np.vstack([
+        np.column_stack([i, j, s_ij]),
+        np.column_stack([i_none, j_none, np.zeros_like(j_none)]),
+    ])
     pairs, pos_triplets, neg_triplets = (
-        np.array(rows, dtype=np.intp).reshape(-1, 3)
-        for rows in (pairs, pos_triplets, neg_triplets)
+        rows.astype(np.intp, copy=False)
+        for rows in (pairs, triplets[s_ij > 0], triplets[s_ij < 0])
     )
     signs, counts = np.unique(pairs[:, 2], return_counts=True)
     weights = {int(s): len(pairs) / (3.0 * int(c)) for s, c in zip(signs, counts)}
     return TrainBatch(pairs, pos_triplets, neg_triplets, class_weights=weights)
+
+
+def _draw_unlinked(adj: scipy.sparse.csr_matrix, anchors: np.ndarray, rng) -> np.ndarray:
+    """One uniform partner per entry of ``anchors``, never the anchor or linked to it.
+
+    Rejected partners are redrawn, up to 200 draws per entry. Membership is
+    a binary search of the sorted keys ``row * n + col`` of ``adj``.
+    """
+    n = adj.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    # CSR order with sorted indices is sorted by key; n * n is a sentinel
+    # above every key, so a search never runs off the end.
+    keys = np.append(rows * n + adj.indices, n * n)
+    partners = np.empty(len(anchors), dtype=np.intp)
+    todo = np.arange(len(anchors))
+    for _ in range(200):
+        partners[todo] = rng.integers(n, size=len(todo))
+        mine, theirs = anchors[todo], partners[todo]
+        wanted = mine.astype(np.int64) * n + theirs
+        todo = todo[(theirs == mine) | (keys[np.searchsorted(keys, wanted)] == wanted)]
+        if len(todo) == 0:
+            return partners
+    raise SamplingError(
+        f"no unlinked partner found for node {anchors[todo[0]]} after 200 draws"
+    )
 
 
 def loss_parts(
@@ -293,7 +322,7 @@ def gradients(
     """
     ops = neighbor_mean_ops(train)
     states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
-    return _backward(states, x, params, mlg, batch, cfg, sgcn_cfg, ops)
+    return _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
 
 
 def fit(
@@ -314,6 +343,7 @@ def fit(
     params = init_params(sgcn_cfg, cfg.seed)
     mlg = MlgParams.zeros(sgcn_cfg.embedding_dim)
     ops = neighbor_mean_ops(train)
+    first_inputs = first_layer_inputs(x, ops)  # x is fixed, so these are too
     history: list[LossParts] = []
     trained = params.all_weights() + [mlg.theta]
     if cfg.classifier_bias:
@@ -322,13 +352,13 @@ def fit(
     beta1, beta2 = _ADAM_BETAS
     for epoch in range(cfg.epochs):
         batch = sample_batch(train, cfg, epoch)
-        states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
+        states = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)
         z = np.hstack([states[-1].friend, states[-1].enemy])
         parts = loss_parts(z, mlg, batch, params, cfg)
         if not np.isfinite(parts.total):
             raise DivergenceError(epoch, parts.total)
         history.append(parts)
-        grad_w, grad_mlg = _backward(states, x, params, mlg, batch, cfg, sgcn_cfg, ops)
+        grad_w, grad_mlg = _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
         # The bias gradient comes last, so zip drops it when the bias is frozen.
         grads = grad_w.all_weights() + [grad_mlg.theta, grad_mlg.bias]
         t = epoch + 1
@@ -340,14 +370,13 @@ def fit(
             m_hat = m / (1.0 - beta1**t)
             v_hat = v / (1.0 - beta2**t)
             w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    final = forward_pass(train, x, params, sgcn_cfg, ops=ops)[-1]
+    final = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)[-1]
     z = np.hstack([final.friend, final.enemy])
     return FitResult(params=params, mlg=mlg, embeddings=z, history=history)
 
 
 def _backward(
     states: list[LayerState],
-    x: np.ndarray,
     params: SgcnParams,
     mlg: MlgParams,
     batch: TrainBatch,
@@ -359,7 +388,6 @@ def _backward(
     final = states[-1]
     z = np.hstack([final.friend, final.enemy])
     zw = z.shape[1]
-    dz = np.zeros_like(z)
 
     # Classifier term.
     idx_i, idx_j, labels, omega = _pair_columns(batch)
@@ -375,8 +403,7 @@ def _backward(
     grad_theta = dlogits.T @ features
     grad_bias = dlogits.sum(axis=0)
     dfeat = dlogits @ mlg.theta
-    np.add.at(dz, idx_i, dfeat[:, :zw])
-    np.add.at(dz, idx_j, dfeat[:, zw:])
+    rows, parts = [idx_i, idx_j], [dfeat[:, :zw], dfeat[:, zw:]]
 
     # Hinge terms.
     if cfg.margin_weight:
@@ -391,13 +418,26 @@ def _backward(
             active = scale * (slack > 0).astype(np.float64)
             sign = 1.0 if closer_is_linked else -1.0
             coef = (2.0 * sign * active)[:, None]
-            np.add.at(dz, triplets[:, 0], coef * (diff_j - diff_k))
-            np.add.at(dz, triplets[:, 1], -coef * diff_j)
-            np.add.at(dz, triplets[:, 2], coef * diff_k)
+            rows += [triplets[:, 0], triplets[:, 1], triplets[:, 2]]
+            parts += [coef * (diff_j - diff_k), -coef * diff_j, coef * diff_k]
 
-    grad_w = backward_pass(states, x, params, sgcn_cfg, dz, ops)
+    dz = _sum_rows(np.concatenate(rows), np.vstack(parts), len(z))
+    grad_w = backward_pass(states, params, sgcn_cfg, dz, ops)
     if cfg.reg_coeff:
         for gw, w in zip(grad_w.all_weights(), params.all_weights()):
             gw += 2.0 * cfg.reg_coeff * w
         grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
     return grad_w, MlgParams(theta=grad_theta, bias=grad_bias)
+
+
+def _sum_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Row ``r`` of the result sums the ``values`` rows ``m`` with ``rows[m] == r``.
+
+    One product with the sparse 0/1 matrix that routes each value row to its
+    target. Each target row adds its values in order of ``m``, starting from
+    zero, so the sums are those of ``np.add.at`` into zeros, bit for bit.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    route = scipy.sparse.csr_matrix((np.ones(len(rows)), order, indptr), shape=(n, len(rows)))
+    return route @ values

@@ -131,8 +131,10 @@ class TestTrainEval:
             (["--test-fraction", "0.3"], "test_fraction=0.2", "test_fraction=0.3"),
             (["--seed", "4"], "seed=2", "seed=4"),
             (["--method", "sgcn-1"], "method='sgcn-2'", "method='sgcn-1'"),
+            (["--dim", "4"], "dim=8", "dim=4"),
+            (["--hidden-dim", "16"], "hidden_dim=4", "hidden_dim=16"),
         ],
-        ids=["test-fraction", "seed", "method"],
+        ids=["test-fraction", "seed", "method", "dim", "hidden-dim"],
     )
     def test_eval_refuses_another_split(self, dataset, tmp_path, capsys,
                                         eval_flags, trained, given):

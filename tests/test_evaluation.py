@@ -130,6 +130,17 @@ class TestAuc:
                 auc_by_enumeration(scores, labels)
             )
 
+    def test_equals_pairwise_count_under_heavy_ties(self):
+        # Scores on a few levels, so most pairs are ties. Both sides count
+        # halves exactly and divide once, so they agree bit for bit.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            m = int(rng.integers(2, 60))
+            labels = rng.integers(0, 2, size=m)
+            labels[:2] = 0, 1
+            scores = rng.integers(0, int(rng.integers(1, 6)), size=m) / 4.0
+            assert auc(scores, labels) == auc_by_enumeration(scores, labels)
+
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
         scores = rng.standard_normal(30)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -200,22 +206,60 @@ class TestSpectralEmbedding:
         assert np.all(vals[:k] == 0.0) and vals[k] > 1e-3
 
     @pytest.mark.parametrize("norm", ["degree", "none"])
-    def test_dense_and_sparse_solvers_agree(self, norm, monkeypatch):
+    def test_dense_and_sparse_solvers_agree(self, norm):
+        # A dense eigendecomposition of the same operator is the oracle.
         # Beyond the null space an eigenvector is fixed up to sign only when
-        # its eigenvalue is simple, so only those columns are compared.
+        # its eigenvalue is simple, so only those columns are compared; the
+        # null columns are compared by the space they span.
         g, _, _ = fragmented_graph()
         d = 12
-        dense, dense_vals = spectral_embedding(g, d, normalization=norm,
-                                               return_eigenvalues=True)
-        monkeypatch.setattr(spectral, "_DENSE_LIMIT", 0)
-        sparse, sparse_vals = spectral_embedding(g, d, normalization=norm,
-                                                 return_eigenvalues=True)
-        assert np.abs(dense_vals - sparse_vals).max() < 1e-10
-        spectrum = np.linalg.eigvalsh(spectral._embedding_operator(g.adj, norm).toarray())
+        vecs, vals = spectral_embedding(g, d, normalization=norm,
+                                        return_eigenvalues=True)
+        operator = spectral._embedding_operator(g.adj, norm).toarray()
+        spectrum, basis = np.linalg.eigh(operator)
+        assert np.abs(vals - spectrum[:d]).max() < 1e-10
         gap = np.diff(spectrum)
         below = np.concatenate([[np.inf], gap])[:d]
         simple = (below > 1e-6) & (gap[:d] > 1e-6)
-        null = dense_vals < 1e-9
+        null = spectrum[:d] < 1e-9
         assert null.sum() >= 4 and simple[~null].sum() >= 2
-        compared = null | simple
-        assert np.abs(dense[:, compared] - sparse[:, compared]).max() < 1e-8
+        oracle_null = basis[:, :d][:, null]
+        projector = vecs[:, null] @ vecs[:, null].T
+        assert np.abs(projector - oracle_null @ oracle_null.T).max() < 1e-8
+        for j in np.flatnonzero(simple & ~null):
+            assert np.abs(vecs[:, j] - sign_fixed(basis[:, j])).max() < 1e-8
+
+    def test_full_width_embedding(self):
+        # d == n is the one width the sparse solver cannot compute.
+        rng = np.random.default_rng(61)
+        g = random_signed_graph(rng, 9, edge_prob=0.5)
+        vecs, vals = spectral_embedding(g, g.n, return_eigenvalues=True)
+        assert vecs.shape == (g.n, g.n)
+        assert np.abs(vecs.T @ vecs - np.eye(g.n)).max() < 1e-10
+        operator = spectral._embedding_operator(g.adj, "degree").toarray()
+        assert vals == pytest.approx(np.linalg.eigvalsh(operator), abs=1e-10)
+        assert np.abs(operator @ vecs - vecs * vals).max() < 1e-10
+
+    def test_same_bytes_in_fresh_processes(self):
+        # ARPACK's own start vector differs per process; the fixed one makes
+        # the embedding repeat bit for bit.
+        rng = np.random.default_rng(67)
+        g = random_signed_graph(rng, 300, edge_prob=0.02)
+        code = (
+            "import json, sys\n"
+            "from sgcn.graph import SignedGraph\n"
+            "from sgcn.spectral import spectral_embedding\n"
+            "n, edges = json.load(sys.stdin)\n"
+            "g = SignedGraph.from_edges(n, [tuple(e) for e in edges])\n"
+            "sys.stdout.write(spectral_embedding(g, 20).tobytes().hex())\n"
+        )
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        payload = json.dumps([g.n, g.edge_array().tolist()])
+        runs = [
+            subprocess.run([sys.executable, "-c", code], input=payload, env=env,
+                           capture_output=True, text=True, check=True, timeout=120).stdout
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1] == spectral_embedding(g, 20).tobytes().hex()

@@ -1,7 +1,16 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sgcn.graph import SignedGraph, neighbor_sets
+from sgcn.graph import (
+    SignedGraph,
+    load_edge_list,
+    neighbor_sets,
+    split_train_test,
+    to_undirected,
+)
 from sgcn.model import SgcnConfig, embed_all, init_params
 from sgcn.training import (
     DivergenceError,
@@ -17,6 +26,8 @@ from sgcn.training import (
 )
 
 from oracles import central_difference, random_signed_graph
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def small_config(**overrides):
@@ -57,6 +68,14 @@ class TestSampleBatch:
         assert a.class_weights == b.class_weights
         c = sample_batch(g, cfg, epoch=4)
         assert not same_batch(a, c)
+        # A pure function of (seed, epoch): no state carries between calls,
+        # and the settings that do not shape a batch do not change it.
+        forward = [sample_batch(g, cfg, epoch) for epoch in range(5)]
+        backward = [sample_batch(g, cfg, epoch) for epoch in reversed(range(5))]
+        assert all(same_batch(x, y) for x, y in zip(forward, backward[::-1]))
+        other = small_config(batch_nodes=8, margin_weight=0.0, learning_rate=1.0, epochs=1)
+        assert same_batch(a, sample_batch(g, other, epoch=3))
+        assert not same_batch(a, sample_batch(g, small_config(batch_nodes=8, seed=1), epoch=3))
 
     def test_pair_membership_honors_adjacency(self):
         rng = np.random.default_rng(1)
@@ -107,6 +126,54 @@ class TestSampleBatch:
         counts = {1: 1, -1: 1, 0: 1}
         weights = {s: len(pairs) / (3.0 * c) for s, c in counts.items()}
         assert weights == {1: 1.0, -1: 1.0, 0: 1.0}
+
+    @pytest.mark.parametrize("ppc", [1, 3, 8])
+    def test_pairs_per_anchor_follow_degrees(self, ppc):
+        rng = np.random.default_rng(7)
+        g = random_signed_graph(rng, 40, edge_prob=0.3, neg_frac=0.3)
+        batch = sample_batch(g, small_config(batch_nodes=25, pairs_per_class=ppc), epoch=2)
+        anchors = np.unique(batch.pairs[:, 0])
+        assert len(anchors) == 25
+        for i in anchors:
+            pos, neg = neighbor_sets(g, i)
+            mine = batch.pairs[batch.pairs[:, 0] == i]
+            for sign, nbrs, triplets in ((1, pos, batch.pos_triplets),
+                                         (-1, neg, batch.neg_triplets)):
+                chosen = mine[mine[:, 2] == sign, 1]
+                assert len(chosen) == min(ppc, len(nbrs))
+                assert len(set(chosen.tolist())) == len(chosen)
+                assert set(chosen.tolist()) <= set(nbrs)
+                linked = triplets[triplets[:, 0] == i, 1]
+                assert sorted(linked.tolist()) == sorted(chosen.tolist())
+            assert np.sum(mine[:, 2] == 0) == ppc
+
+    def test_no_partner_is_the_anchor_or_linked_to_it(self):
+        # Dense graphs, so that many first draws are rejected and redrawn.
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            g = random_signed_graph(rng, 20, edge_prob=0.6, neg_frac=0.4)
+            batch = sample_batch(g, small_config(batch_nodes=20, pairs_per_class=4,
+                                                 seed=trial), epoch=trial)
+            partners = np.vstack([
+                batch.pairs[batch.pairs[:, 2] == 0][:, :2],
+                batch.pos_triplets[:, [0, 2]],
+                batch.neg_triplets[:, [0, 2]],
+            ])
+            for i, k in partners.tolist():
+                assert k != i and not g.has_edge(i, k)
+
+    @pytest.mark.dataset
+    def test_bitcoin_alpha_batch_is_pinned(self):
+        # Any change to the sampler's draw order changes this digest.
+        g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
+        batch = sample_batch(split_train_test(g, 0.2, seed=0).train,
+                             TrainConfig(seed=0), epoch=0)
+        assert [len(batch.pairs), len(batch.pos_triplets), len(batch.neg_triplets)] == [
+            3762, 1105, 157]
+        digest = hashlib.sha1()
+        for rows in (batch.pairs, batch.pos_triplets, batch.neg_triplets):
+            digest.update(rows.astype(np.int64).tobytes())
+        assert digest.hexdigest() == "cc31ec9c7a4d333a449595546acfcd649bda5543"
 
     def test_isolated_anchor_contributes_only_unlinked_pairs(self):
         g = SignedGraph.from_edges(5, [(1, 2, 1), (3, 4, -1)])
