@@ -8,8 +8,8 @@ edges, mirroring the reach-set recursion in :mod:`sgcn.balance`: friends of
 friends and enemies of enemies feed the friend track, while friends'
 enemies and enemies' friends feed the enemy track.
 
-Each layer is a table of the blocks each track's weights act on, side by
-side. A block applies the positive-neighbor mean ``P``, the
+Each layer is a table of the blocks each track's weights act on, one
+block per slot. A block applies the positive-neighbor mean ``P``, the
 negative-neighbor mean ``N`` or nothing (the node's own state) to the
 friend state ``F`` or the enemy state ``E``; ``0`` is a zero slot:
 
@@ -18,7 +18,10 @@ friend state ``F`` or the enemy state ``E``; ``0`` is a zero slot:
     later, standard      [P.F, N.E, F]     [P.E, N.F, E]
     later, plus          [P.F, 0, F]       [0, N.E, E]
 
-The zero slots keep the plus variant's weight shapes equal to the standard
+A track's weight matrix is read as column blocks, one per slot, so a
+layer computes ``tanh(sum_b block_b @ W_b.T)`` over its non-zero slots,
+which is ``tanh([blocks] @ W.T)`` without building the concatenation. The
+zero slots keep the plus variant's weight shapes equal to the standard
 ones, so the first layer maps ``2*d_in -> d_hidden`` per track and every
 later layer maps ``3*d_hidden -> d_hidden``. The final embedding is the
 concatenation of both tracks' last-layer states.
@@ -114,13 +117,14 @@ class SgcnParams:
 class LayerState(NamedTuple):
     """Hidden matrices (n x d_hidden) of both tracks at one layer.
 
-    ``inputs`` holds the friend and enemy layer inputs the weights acted on,
-    which :func:`backward_pass` reads; it is ``None`` for the features.
+    ``inputs`` holds the friend and enemy input blocks the weights acted on,
+    one per table slot and ``None`` for a zero slot, which
+    :func:`backward_pass` reads; it is ``None`` for the features.
     """
 
     friend: np.ndarray
     enemy: np.ndarray
-    inputs: tuple[np.ndarray, np.ndarray] | None = None
+    inputs: tuple[tuple[np.ndarray | None, ...], tuple[np.ndarray | None, ...]] | None = None
 
 
 def init_params(cfg: SgcnConfig, seed: int) -> SgcnParams:
@@ -155,11 +159,11 @@ def _row_normalized(mask: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
 
 def first_layer_inputs(
     x: np.ndarray, ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first layer's friend and enemy inputs ``[P.x, x]`` and ``[N.x, x]``."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The first layer's friend and enemy input blocks ``(P.x, x)`` and ``(N.x, x)``."""
     x = np.asarray(x, dtype=np.float64)
     features = LayerState(friend=x, enemy=x)
-    return tuple(_layer_input(blocks, features, ops) for blocks in _FIRST_LAYER)
+    return tuple(_input_blocks(blocks, features, ops) for blocks in _FIRST_LAYER)
 
 
 def forward_pass(
@@ -172,8 +176,10 @@ def forward_pass(
 ) -> list[LayerState]:
     """Run all layers and return every intermediate :class:`LayerState`.
 
+    Each track's pre-activation sums ``block @ W_b.T`` over the non-zero
+    blocks of its table row, ``W_b`` being the slot's columns of the weights.
     ``ops`` may carry the pair from :func:`neighbor_mean_ops` and
-    ``first_inputs`` the pair from :func:`first_layer_inputs` of ``x`` to
+    ``first_inputs`` the blocks from :func:`first_layer_inputs` of ``x`` to
     skip rebuilding them, e.g. across training epochs on a fixed graph.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -194,14 +200,13 @@ def forward_pass(
     for layer in range(cfg.layers):
         if layer:
             inputs = tuple(
-                _layer_input(blocks, states[-1], ops) for blocks in _LATER_LAYERS[cfg.variant]
+                _input_blocks(blocks, states[-1], ops) for blocks in _LATER_LAYERS[cfg.variant]
             )
-        friend_in, enemy_in = inputs
-        states.append(LayerState(
-            friend=np.tanh(friend_in @ params.w_friend[layer].T),
-            enemy=np.tanh(enemy_in @ params.w_enemy[layer].T),
-            inputs=(friend_in, enemy_in),
-        ))
+        friend, enemy = (
+            _activate(blocks, w[layer])
+            for blocks, w in zip(inputs, (params.w_friend, params.w_enemy))
+        )
+        states.append(LayerState(friend=friend, enemy=enemy, inputs=inputs))
     return states
 
 
@@ -217,8 +222,10 @@ def backward_pass(
     ``states`` and ``ops`` are those :func:`forward_pass` returned and used,
     and ``dz`` is the objective's gradient at the embedding
     ``[friend, enemy]`` of the last layer. Reverse mode through the same
-    layer tables: each block's gradient goes back through the transpose of
-    its operator to the track it was read from.
+    layer tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``
+    (zero for a zero slot), and each block's gradient ``d_pre @ W_b`` goes
+    back through the transpose of its operator to the track it was read
+    from.
     """
     h = cfg.d_hidden
     weights = (params.w_friend, params.w_enemy)
@@ -228,18 +235,23 @@ def backward_pass(
         # tanh' = 1 - tanh^2, read off the layer's output.
         d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
         for track in (_F, _E):
-            grads[track][layer] = d_pre[track].T @ states[layer].inputs[track]
+            grad = grads[track][layer] = np.zeros_like(weights[track][layer])
+            blocks = states[layer].inputs[track]
+            for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
+                if block is not None:
+                    columns[...] = d_pre[track].T @ block
         if layer == 0:
             break  # the features x are not trained
-        d_in = [d_pre[track] @ weights[track][layer] for track in (_F, _E)]
+        table = _LATER_LAYERS[cfg.variant]
+        slots = [np.split(weights[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
         # Slot by slot, so each track sums its P, N and own parts in that order.
         g_state = [None, None]
-        for slot, column in enumerate(zip(*_LATER_LAYERS[cfg.variant])):
+        for slot, column in enumerate(zip(*table)):
             for track, block in enumerate(column):
                 if block is None:
                     continue
                 op, source = block
-                part = d_in[track][:, slot * h : (slot + 1) * h]
+                part = d_pre[track] @ slots[track][slot]
                 if op is not _OWN:
                     part = ops[op].T @ part
                 g_state[source] = part if g_state[source] is None else g_state[source] + part
@@ -258,13 +270,28 @@ def embed_all(
     return np.hstack([final.friend, final.enemy])
 
 
-def _layer_input(blocks, state: LayerState, ops) -> np.ndarray:
-    """One track's layer input: its blocks, read off ``state``, side by side."""
-    columns = []
+def _input_blocks(blocks, state: LayerState, ops) -> tuple[np.ndarray | None, ...]:
+    """One track's input blocks read off ``state``, in slot order; ``None`` for a zero slot."""
+    read = []
     for block in blocks:
         if block is None:
-            columns.append(np.zeros_like(state.friend))
+            read.append(None)
             continue
         op, source = block
-        columns.append(state[source] if op is _OWN else ops[op] @ state[source])
-    return np.hstack(columns)
+        read.append(state[source] if op is _OWN else ops[op] @ state[source])
+    return tuple(read)
+
+
+def _activate(blocks, w: np.ndarray) -> np.ndarray:
+    """``tanh([blocks] @ w.T)``, summed slot by slot over the non-zero blocks."""
+    pre = None
+    for block, columns in zip(blocks, np.split(w, len(blocks), axis=1)):
+        if block is None:
+            continue
+        part = block @ columns.T
+        if pre is None:
+            pre = part
+        else:
+            pre += part
+    return np.tanh(pre, out=pre)
+

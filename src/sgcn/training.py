@@ -4,10 +4,12 @@ The objective has three pieces: a class-weighted 3-way softmax classifier
 deciding whether a node pair is positively linked, negatively linked, or
 unlinked; a pair of hinge terms pulling positively linked nodes closer than
 unlinked ones and pushing negatively linked nodes farther than unlinked
-ones; and an L2 penalty on all weights. Gradients are computed in closed
-form by reverse mode, down to the embedding here and then through the layers
-by :func:`sgcn.model.backward_pass`, with the hinge subgradient taken as
-zero exactly at the kink.
+ones; and an L2 penalty on all weights. One pass over a batch gives the
+three values and the gradient together: the gradient is computed in closed
+form by reverse mode from the same logits and hinge slack, down to the
+embedding here and then through the layers by
+:func:`sgcn.model.backward_pass`, with the hinge subgradient taken as zero
+exactly at the kink.
 
 Training steps with Adam (Kingma & Ba, arXiv:1412.6980). The hinge terms
 carry no margin constant, so they scale with the square of the embedding
@@ -245,35 +247,13 @@ def loss_parts(
     params: SgcnParams,
     cfg: TrainConfig,
 ) -> LossParts:
-    """Evaluate the three objective components at the given embeddings."""
-    if len(batch.pairs) == 0:
-        raise ValueError("batch has no labeled pairs")
-    idx_i, idx_j, labels, omega = _pair_columns(batch)
-    features = np.hstack([z[idx_i], z[idx_j]])
-    logits = features @ mlg.theta.T + mlg.bias
-    logits -= logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(logits).sum(axis=1))
-    log_prob = logits[np.arange(len(labels)), labels] - log_norm
-    classifier = float(np.mean(omega * -log_prob))
+    """Evaluate the three objective components at the given embeddings.
 
-    margin = 0.0
-    for triplets, closer_is_linked in (
-        (batch.pos_triplets, True),
-        (batch.neg_triplets, False),
-    ):
-        if len(triplets) == 0:
-            continue
-        slack, _, _ = _margin_slack(z, triplets, closer_is_linked)
-        margin += float(np.maximum(0.0, slack).mean())
-    margin *= cfg.margin_weight
-
-    reg = 0.0
-    if cfg.reg_coeff:
-        reg = cfg.reg_coeff * (
-            sum(float(np.sum(w * w)) for w in params.all_weights())
-            + float(np.sum(mlg.theta * mlg.theta))
-        )
-    return LossParts(classifier=classifier, margin=margin, regularizer=reg)
+    The value-only run of the pass that :func:`_backward` makes for
+    training, so both read the same numbers. Raises ``ValueError`` on a
+    batch without pairs.
+    """
+    return _objective(z, mlg, batch, params, cfg, grad=False)[0]
 
 
 def loss(
@@ -318,11 +298,12 @@ def gradients(
 
     Returns gradient containers shaped like ``params`` and ``mlg``. The
     forward pass is recomputed here; use :func:`fit` for training loops
-    that share it.
+    that share it. Raises ``ValueError`` on a batch without pairs, as
+    :func:`loss_parts` does.
     """
     ops = neighbor_mean_ops(train)
     states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
-    return _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
+    return _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)[1:]
 
 
 def fit(
@@ -337,7 +318,9 @@ def fit(
     included, with moment decay rates 0.9 and 0.999 and denominator guard
     1e-8. A weight moves by about ``cfg.learning_rate`` per epoch, and by
     at most ``(1 - 0.9) / sqrt(1 - 0.999)``, about 3.2, times it (Kingma &
-    Ba, section 2.1). Deterministic for a fixed ``cfg.seed``. Raises
+    Ba, section 2.1). Deterministic for a fixed ``cfg.seed``. The history
+    holds each epoch's loss parts before its step, as :func:`_backward`
+    read them off the pass that gives the gradient. Raises
     :class:`DivergenceError` if the loss stops being finite.
     """
     params = init_params(sgcn_cfg, cfg.seed)
@@ -353,12 +336,10 @@ def fit(
     for epoch in range(cfg.epochs):
         batch = sample_batch(train, cfg, epoch)
         states = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)
-        z = np.hstack([states[-1].friend, states[-1].enemy])
-        parts = loss_parts(z, mlg, batch, params, cfg)
+        parts, grad_w, grad_mlg = _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
         if not np.isfinite(parts.total):
             raise DivergenceError(epoch, parts.total)
         history.append(parts)
-        grad_w, grad_mlg = _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
         # The bias gradient comes last, so zip drops it when the bias is frozen.
         grads = grad_w.all_weights() + [grad_mlg.theta, grad_mlg.bias]
         t = epoch + 1
@@ -383,29 +364,49 @@ def _backward(
     cfg: TrainConfig,
     sgcn_cfg: SgcnConfig,
     ops,
-) -> tuple[SgcnParams, MlgParams]:
-    """The objective's gradient at the embedding, then through the model."""
-    final = states[-1]
-    z = np.hstack([final.friend, final.enemy])
-    zw = z.shape[1]
+) -> tuple[LossParts, SgcnParams, MlgParams]:
+    """The objective's parts and its gradient, at the embedding and then through the model.
 
-    # Classifier term.
+    One pass: the loss parts are read off the logits, exp-sums and hinge
+    slack that the gradient is built from. Raises ``ValueError`` on a batch
+    without pairs.
+    """
+    z = np.hstack([states[-1].friend, states[-1].enemy])
+    parts, dz, grad_mlg = _objective(z, mlg, batch, params, cfg, grad=True)
+    grad_w = backward_pass(states, params, sgcn_cfg, dz, ops)
+    if cfg.reg_coeff:
+        for gw, w in zip(grad_w.all_weights(), params.all_weights()):
+            gw += 2.0 * cfg.reg_coeff * w
+    return parts, grad_w, grad_mlg
+
+
+def _objective(z, mlg, batch, params, cfg, grad):
+    """The loss parts at ``z`` and, if ``grad``, the gradient at ``z`` and ``mlg``.
+
+    Returns ``(parts, dz, grad_mlg)``, the last two ``None`` without
+    ``grad``. The weights' L2 gradient is left to the caller, which holds
+    the weight gradients.
+    """
+    if len(batch.pairs) == 0:
+        raise ValueError("batch has no labeled pairs")
     idx_i, idx_j, labels, omega = _pair_columns(batch)
-    m = len(batch.pairs)
-    features = np.hstack([z[idx_i], z[idx_j]])
-    logits = features @ mlg.theta.T + mlg.bias
+    m = len(labels)
+
+    # Classifier term: class-weighted softmax cross-entropy. Each half of
+    # theta acts on one endpoint, so the pair features are never built.
+    z_i, z_j = z[idx_i], z[idx_j]
+    theta_i, theta_j = np.split(mlg.theta, 2, axis=1)
+    logits = z_i @ theta_i.T
+    logits += z_j @ theta_j.T
+    logits += mlg.bias
     logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    dlogits = probs
-    dlogits[np.arange(m), labels] -= 1.0
-    dlogits *= (omega / m)[:, None]
-    grad_theta = dlogits.T @ features
-    grad_bias = dlogits.sum(axis=0)
-    dfeat = dlogits @ mlg.theta
-    rows, parts = [idx_i, idx_j], [dfeat[:, :zw], dfeat[:, zw:]]
+    exp_logits = np.exp(logits)
+    exp_sums = exp_logits.sum(axis=1)
+    log_prob = logits[np.arange(m), labels] - np.log(exp_sums)
+    classifier = float(np.mean(omega * -log_prob))
 
     # Hinge terms.
+    margin, hinges = 0.0, []
     if cfg.margin_weight:
         for triplets, closer_is_linked in (
             (batch.pos_triplets, True),
@@ -414,30 +415,56 @@ def _backward(
             if len(triplets) == 0:
                 continue
             slack, diff_j, diff_k = _margin_slack(z, triplets, closer_is_linked)
-            scale = cfg.margin_weight / len(triplets)
-            active = scale * (slack > 0).astype(np.float64)
-            sign = 1.0 if closer_is_linked else -1.0
-            coef = (2.0 * sign * active)[:, None]
-            rows += [triplets[:, 0], triplets[:, 1], triplets[:, 2]]
-            parts += [coef * (diff_j - diff_k), -coef * diff_j, coef * diff_k]
+            margin += float(np.maximum(0.0, slack).mean())
+            hinges.append((triplets, closer_is_linked, slack, diff_j, diff_k))
+        margin *= cfg.margin_weight
 
-    dz = _sum_rows(np.concatenate(rows), np.vstack(parts), len(z))
-    grad_w = backward_pass(states, params, sgcn_cfg, dz, ops)
+    # L2 term.
+    reg = 0.0
     if cfg.reg_coeff:
-        for gw, w in zip(grad_w.all_weights(), params.all_weights()):
-            gw += 2.0 * cfg.reg_coeff * w
+        reg = cfg.reg_coeff * (
+            sum(float(np.sum(w * w)) for w in params.all_weights())
+            + float(np.sum(mlg.theta * mlg.theta))
+        )
+    parts = LossParts(classifier=classifier, margin=margin, regularizer=reg)
+    if not grad:
+        return parts, None, None
+
+    dlogits = exp_logits / exp_sums[:, None]
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits *= (omega / m)[:, None]
+    grad_theta = np.hstack([dlogits.T @ z_i, dlogits.T @ z_j])
+    grad_bias = dlogits.sum(axis=0)
+    # Each row of z the objective read gets its gradient row, written in
+    # place into one array for _sum_rows to route.
+    rows = [idx_i, idx_j] + [triplets[:, c] for triplets, *_ in hinges for c in range(3)]
+    values = np.empty((sum(map(len, rows)), z.shape[1]))
+    blocks = iter(np.split(values, np.cumsum([len(r) for r in rows])[:-1]))
+    np.matmul(dlogits, theta_i, out=next(blocks))
+    np.matmul(dlogits, theta_j, out=next(blocks))
+    for triplets, closer_is_linked, slack, diff_j, diff_k in hinges:
+        scale = cfg.margin_weight / len(triplets)
+        active = scale * (slack > 0).astype(np.float64)
+        sign = 1.0 if closer_is_linked else -1.0
+        coef = (2.0 * sign * active)[:, None]
+        np.multiply(coef, diff_j - diff_k, out=next(blocks))
+        np.multiply(-coef, diff_j, out=next(blocks))
+        np.multiply(coef, diff_k, out=next(blocks))
+    dz = _sum_rows(np.concatenate(rows), values, len(z))
+    if cfg.reg_coeff:
         grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
-    return grad_w, MlgParams(theta=grad_theta, bias=grad_bias)
+    return parts, dz, MlgParams(theta=grad_theta, bias=grad_bias)
 
 
 def _sum_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Row ``r`` of the result sums the ``values`` rows ``m`` with ``rows[m] == r``.
 
     One product with the sparse 0/1 matrix that routes each value row to its
-    target. Each target row adds its values in order of ``m``, starting from
-    zero, so the sums are those of ``np.add.at`` into zeros, bit for bit.
+    target, built by counting sort: the COO to CSR conversion keeps each
+    row's entries in order of ``m``. Each target row adds its values in that
+    order, starting from zero, so the sums are those of ``np.add.at`` into
+    zeros, bit for bit.
     """
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    route = scipy.sparse.csr_matrix((np.ones(len(rows)), order, indptr), shape=(n, len(rows)))
+    k = len(rows)
+    route = scipy.sparse.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(n, k))
     return route @ values

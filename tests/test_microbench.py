@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the training step's stages on the Bitcoin-Alpha train graph.
+"""Micro-benchmarks of the training step's stages and of a short fit, on the
+Bitcoin-Alpha train graph.
 
 Run them alone with ``pytest -m microbench``; the fast suite leaves them out
 with ``-m "not acceptance and not microbench"``. Each stage runs three rounds
@@ -22,7 +23,7 @@ from sgcn.model import (
     neighbor_mean_ops,
 )
 from sgcn.spectral import spectral_embedding
-from sgcn.training import TrainConfig, sample_batch
+from sgcn.training import MlgParams, TrainConfig, _backward, fit, sample_batch
 
 pytestmark = [pytest.mark.microbench, pytest.mark.dataset]
 
@@ -32,7 +33,10 @@ DIM = 64
 
 @pytest.fixture(scope="module")
 def alpha():
-    """The seed-0 train graph, its features and a 2-layer model's forward pass."""
+    """The seed-0 train graph, its features, a 2-layer model's forward pass and a batch.
+
+    ``first`` holds the first layer's input blocks ``(P.x, x)`` and ``(N.x, x)``.
+    """
     g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
     train = split_train_test(g, 0.2, seed=0).train
     features = spectral_embedding(train, DIM)
@@ -41,10 +45,15 @@ def alpha():
     params = init_params(cfg, seed=0)
     ops = neighbor_mean_ops(train)
     first = first_layer_inputs(x, ops)
+    assert all(own is x for _, own in first)  # the own-state blocks are x, not copies
     states = forward_pass(train, x, params, cfg, ops=ops, first_inputs=first)
-    dz = np.random.default_rng(0).standard_normal((train.n, cfg.embedding_dim))
+    rng = np.random.default_rng(0)
+    dz = rng.standard_normal((train.n, cfg.embedding_dim))
+    mlg = MlgParams(theta=0.1 * rng.standard_normal((3, 2 * cfg.embedding_dim)),
+                    bias=np.zeros(3))
+    batch = sample_batch(train, TrainConfig(), 0)
     return dict(train=train, features=features, x=x, cfg=cfg, params=params,
-                ops=ops, first=first, states=states, dz=dz)
+                ops=ops, first=first, states=states, dz=dz, mlg=mlg, batch=batch)
 
 
 def test_sample_batch(benchmark, alpha):
@@ -70,6 +79,24 @@ def test_backward_pass(benchmark, alpha):
     )
     assert [w.shape for w in grads.all_weights()] == [
         w.shape for w in a["params"].all_weights()]
+
+
+def test_objective_and_gradient(benchmark, alpha):
+    a = alpha
+    parts, grad_w, grad_mlg = benchmark.pedantic(
+        _backward,
+        args=(a["states"], a["params"], a["mlg"], a["batch"], TrainConfig(), a["cfg"], a["ops"]),
+        rounds=3,
+    )
+    assert np.isfinite(parts.total)
+    assert grad_mlg.theta.shape == a["mlg"].theta.shape
+
+
+def test_fit_ten_epochs(benchmark, alpha):
+    a = alpha
+    result = benchmark.pedantic(fit, args=(a["train"], a["x"], TrainConfig(epochs=10), a["cfg"]),
+                                rounds=3)
+    assert len(result.history) == 10
 
 
 def test_spectral_embedding(benchmark, alpha):

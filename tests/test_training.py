@@ -11,6 +11,7 @@ from sgcn.graph import (
     split_train_test,
     to_undirected,
 )
+from sgcn import training
 from sgcn.model import SgcnConfig, embed_all, init_params
 from sgcn.training import (
     DivergenceError,
@@ -18,6 +19,7 @@ from sgcn.training import (
     SamplingError,
     TrainBatch,
     TrainConfig,
+    _sum_rows,
     fit,
     gradients,
     loss,
@@ -261,6 +263,17 @@ class TestLoss:
 
 
 class TestGradients:
+    def test_pairless_batch_rejected(self):
+        # The same refusal as loss_parts, not the gradient of the L2 term alone.
+        g = SignedGraph.from_edges(6, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (4, 5, 1)])
+        sgcn_cfg = SgcnConfig(d_in=2, d_hidden=2, layers=2)
+        params = init_params(sgcn_cfg, 0)
+        x = np.random.default_rng(10).standard_normal((6, 2))
+        mlg = MlgParams.zeros(sgcn_cfg.embedding_dim)
+        pairless = TrainBatch(NO_ROWS, np.array([[0, 1, 4]]), NO_ROWS, {})
+        with pytest.raises(ValueError, match="no labeled pairs"):
+            gradients(g, x, params, mlg, pairless, small_config(), sgcn_cfg)
+
     def test_regularizer_gradient_is_linear_in_parameters(self):
         # The classifier and margin parts are independent of reg_coeff, so
         # differencing two reg settings isolates the penalty's gradient,
@@ -355,7 +368,58 @@ class TestGradients:
         assert depths == {1, 2, 3}
 
 
+class TestSumRows:
+    def test_equals_add_at_into_zeros_bit_for_bit(self):
+        # Magnitudes spread over 16 decades, so any other order of addition
+        # within a row changes the sums' last bits.
+        rng = np.random.default_rng(12)
+        n, k = 50, 400
+        rows = rng.integers(0, 30, size=k).astype(np.intp)  # rows 30..49 get nothing
+        values = rng.standard_normal((k, 7)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+        expected = np.zeros((n, 7))
+        np.add.at(expected, rows, values)
+        summed = _sum_rows(rows, values, n)
+        assert np.bincount(rows).max() > 1
+        assert np.array_equal(summed, expected)
+        assert not summed[30:].any()
+
+
+MODELS = {
+    "sgcn-1": dict(layers=1),
+    "sgcn-1+": dict(layers=2, variant="plus"),
+    "sgcn-2": dict(layers=2),
+}
+
+
 class TestFit:
+    @pytest.mark.parametrize("weights", [{}, dict(margin_weight=0.0, reg_coeff=0.0)],
+                             ids=["default", "classifier-only"])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_history_is_loss_parts_at_each_epoch(self, model, weights):
+        # A run of e epochs stops at the weights that epoch e starts from, so
+        # its final embeddings are the ones epoch e's history entry was read at.
+        g = two_cliques(5)
+        x = np.random.default_rng(9).standard_normal((g.n, 4))
+        sgcn_cfg = SgcnConfig(d_in=4, d_hidden=3, **MODELS[model])
+        cfg = small_config(batch_nodes=g.n, epochs=5, **weights)
+        history = fit(g, x, cfg, sgcn_cfg).history
+        for epoch, parts in enumerate(history):
+            start = fit(g, x, small_config(batch_nodes=g.n, epochs=epoch, **weights), sgcn_cfg)
+            batch = sample_batch(g, cfg, epoch)
+            assert parts == loss_parts(start.embeddings, start.mlg, batch, start.params, cfg)
+
+    def test_one_objective_pass_per_epoch(self, monkeypatch):
+        # The history comes from the pass that gives the gradient.
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit evaluated the objective a second time")
+
+        monkeypatch.setattr(training, "loss_parts", refuse)
+        monkeypatch.setattr(training, "loss", refuse)
+        g = two_cliques(4)
+        x = np.random.default_rng(11).standard_normal((g.n, 3))
+        result = fit(g, x, small_config(batch_nodes=g.n, epochs=3), SgcnConfig(d_in=3, d_hidden=2))
+        assert len(result.history) == 3
+
     def test_vanishing_learning_rate_is_a_no_op(self):
         # The config type requires a positive rate, so "no update" is probed
         # with a vanishing one. Batches still resample each epoch, so only
