@@ -17,15 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sgcn import (
-    SgcnConfig,
-    TrainConfig,
-    fit,
-    load_edge_list,
-    spectral_embedding,
-    split_train_test,
-    to_undirected,
-)
+from sgcn import SgcnConfig, TrainConfig, fit, load_edge_list, to_undirected
+from sgcn.evaluation import model_input, split_and_features
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -35,16 +28,14 @@ def main():
     print(f"Bitcoin-Alpha: {graph.n} nodes, {graph.num_pos_edges}+ / "
           f"{graph.num_neg_edges}- edges")
 
-    split = split_train_test(graph, 0.2, seed=0)
+    print("Splitting and computing spectral input features (64 columns)...")
+    split, x = split_and_features(graph, 0.2, seed=0, dim=64)
     print(f"Split: {split.train.num_edges} train edges, {len(split.test)} held out")
-
-    print("Computing spectral input features (64 columns)...")
-    x = spectral_embedding(split.train, 64) * np.sqrt(graph.n)
 
     sgcn_cfg = SgcnConfig(d_in=64, d_hidden=32, layers=2)
     train_cfg = TrainConfig(seed=0, epochs=120)
     print(f"Training {sgcn_cfg.layers}-layer model, {train_cfg.epochs} epochs...")
-    result = fit(split.train, x, train_cfg, sgcn_cfg)
+    result = fit(split.train, model_input(x), train_cfg, sgcn_cfg)
 
     print()
     print("epoch  total   classifier  margin  regularizer")
@@ -63,12 +54,10 @@ def main():
 
     # A quick sanity read on the geometry the margins ask for: positive
     # pairs should sit closer than negative pairs on average.
-    pos_d, neg_d = [], []
-    for u, v, s in split.train.edges():
-        d = float(np.sum((z[u] - z[v]) ** 2))
-        (pos_d if s > 0 else neg_d).append(d)
-    print(f"Mean squared distance: positive pairs {np.mean(pos_d):.3f}, "
-          f"negative pairs {np.mean(neg_d):.3f}")
+    u, v, sign = split.train.edge_array().T
+    d = np.sum((z[u] - z[v]) ** 2, axis=1)
+    print(f"Mean squared distance: positive pairs {d[sign > 0].mean():.3f}, "
+          f"negative pairs {d[sign < 0].mean():.3f}")
 
 
 if __name__ == "__main__":

@@ -13,15 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import io as artifacts
 from .balance import triangle_census
-from .evaluation import run_experiment, score_embeddings, sgcn_config_for
-from .graph import load_edge_list, split_train_test, to_undirected
+from .evaluation import (feature_dim, model_input, run_experiment, score_embeddings,
+                         sgcn_config_for, split_and_features)
+from .graph import load_edge_list, to_undirected
 from .model import embed_all
 from .spectral import spectral_embedding
 from .training import TrainConfig, fit
@@ -134,8 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _ingest(args):
-    graph = to_undirected(load_edge_list(args.dataset, args.format))
-    return graph
+    return to_undirected(load_edge_list(args.dataset, args.format))
 
 
 def _cmd_ingest(args, emit):
@@ -151,21 +149,18 @@ def _cmd_ingest(args, emit):
 
 def _cmd_sse(args, emit):
     graph = _ingest(args)
-    z = spectral_embedding(graph, min(args.dim, graph.n))
+    z = spectral_embedding(graph, feature_dim(graph, args.dim))
     artifacts.write_embedding_csv(emit("embeddings.csv"), z, graph)
     _manifest(args, emit, "sse", ["embeddings.csv"])
     print(f"wrote {z.shape[0]}x{z.shape[1]} embedding")
 
 
 def _cmd_train(args, emit):
-    if args.method == "sse":
-        raise ValueError("the sse method has no trainable parameters; use the sse command")
-    graph = _ingest(args)
-    split = split_train_test(graph, args.test_fraction, args.seed)
-    dim = min(args.dim, graph.n)
-    x = spectral_embedding(split.train, dim) * np.sqrt(graph.n)
-    sgcn_cfg = sgcn_config_for(args.method, d_in=dim, d_hidden=args.hidden_dim)
     train_cfg = _train_config(args)
+    graph = _ingest(args)
+    split, x = split_and_features(graph, args.test_fraction, args.seed, args.dim)
+    x = model_input(x)  # rebinding frees the unscaled features
+    sgcn_cfg = sgcn_config_for(args.method, d_in=x.shape[1], d_hidden=args.hidden_dim)
     result = fit(split.train, x, train_cfg, sgcn_cfg)
     artifacts.save_checkpoint(
         emit("checkpoint.npz"),
@@ -188,52 +183,46 @@ def _cmd_train(args, emit):
 
 
 def _cmd_eval(args, emit):
-    seed = args.seed
-    if args.method == "sse":
-        report = run_experiment(
-            args.dataset,
-            "sse",
-            args.seed,
-            format=args.format,
-            test_fraction=args.test_fraction,
-            embedding_dim=args.dim,
-        )
-    else:
-        checkpoint = Path(args.checkpoint or (Path(args.out) / "checkpoint.npz"))
-        if not checkpoint.exists():
-            raise FileNotFoundError(
-                f"no checkpoint at {checkpoint}; run the train command first"
-            )
-        sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
-        graph = _ingest(args)
-        trained_on["method"] = next(
-            (m for m in _MODEL_METHODS
-             if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
-            sgcn_cfg,
-        )
-        trained_on["dim"], trained_on["hidden_dim"] = sgcn_cfg.d_in, sgcn_cfg.d_hidden
-        # Any other split would hold out edges the weights were fit on, and
-        # any other method or width would name the wrong model in the report.
-        given = {
-            **_split_of(args),
-            "method": args.method,
-            "dim": min(args.dim, graph.n),  # as train clips it
-            "hidden_dim": args.hidden_dim,
-        }
-        for key, value in given.items():
-            if trained_on[key] != value:
-                raise ValueError(
-                    f"checkpoint was trained with {key}={trained_on[key]!r}, "
-                    f"eval was given {key}={value!r}"
-                )
-        seed = trained_on["seed"]
-        split = split_train_test(graph, trained_on["test_fraction"], seed)
-        x = spectral_embedding(split.train, sgcn_cfg.d_in) * np.sqrt(graph.n)
-        report = score_embeddings(embed_all(split.train, x, params, sgcn_cfg), split)
-    row = _report_row(args.dataset, args.method, seed, report)
+    graph = _ingest(args)
+    model = None if args.method == "sse" else _trained_model(args, graph)
+    split, z = split_and_features(graph, args.test_fraction, args.seed, args.dim)
+    if model is not None:
+        z = model_input(z)  # rebinding frees the unscaled features before the forward pass
+        z = embed_all(split.train, z, *model)
+    report = score_embeddings(z, split)
+    row = _report_row(args.dataset, args.method, args.seed, report)
     artifacts.write_report_rows(emit("report.csv"), [row])
     _manifest(args, emit, "eval", ["report.csv"])
-    print(f"{args.method} seed={seed} auc={report.auc:.4f} f1={report.f1:.4f}")
+    print(f"{args.method} seed={args.seed} auc={report.auc:.4f} f1={report.f1:.4f}")
+
+
+def _trained_model(args, graph):
+    """The checkpoint's ``(params, sgcn_cfg)``, once its split and model match the command line."""
+    checkpoint = Path(args.checkpoint or (Path(args.out) / "checkpoint.npz"))
+    if not checkpoint.exists():
+        raise FileNotFoundError(f"no checkpoint at {checkpoint}; run the train command first")
+    sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
+    trained_on["method"] = next(
+        (m for m in _MODEL_METHODS
+         if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
+        sgcn_cfg,
+    )
+    trained_on["dim"], trained_on["hidden_dim"] = sgcn_cfg.d_in, sgcn_cfg.d_hidden
+    # Any other split would hold out edges the weights were fit on, and
+    # any other method or width would name the wrong model in the report.
+    given = {
+        **_split_of(args),
+        "method": args.method,
+        "dim": feature_dim(graph, args.dim),
+        "hidden_dim": args.hidden_dim,
+    }
+    for key, value in given.items():
+        if trained_on[key] != value:
+            raise ValueError(
+                f"checkpoint was trained with {key}={trained_on[key]!r}, "
+                f"eval was given {key}={value!r}"
+            )
+    return params, sgcn_cfg
 
 
 def _cmd_triangles(args, emit):
@@ -252,6 +241,7 @@ def _cmd_triangles(args, emit):
 
 
 def _cmd_sweep(args, emit):
+    train_cfg = _train_config(args)
     lambdas = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
     seeds = (
         [int(v) for v in args.seeds.split(",") if v.strip() != ""]
@@ -263,7 +253,6 @@ def _cmd_sweep(args, emit):
     rows = []
     for lam in lambdas:
         for seed in seeds:
-            train_cfg = _train_config(args, margin_weight=lam, seed=seed)
             report = run_experiment(
                 graph,
                 args.method,
@@ -271,7 +260,7 @@ def _cmd_sweep(args, emit):
                 test_fraction=args.test_fraction,
                 embedding_dim=args.dim,
                 hidden_dim=args.hidden_dim,
-                train_cfg=train_cfg,
+                train_cfg=replace(train_cfg, margin_weight=lam, seed=seed),
                 feature_cache=cache,
             )
             label = f"{args.method}[lambda={lam:g}]"
@@ -282,17 +271,18 @@ def _cmd_sweep(args, emit):
     _manifest(args, emit, "sweep-lambda", ["report.csv", "aggregate.csv"])
 
 
-def _train_config(
-    args, margin_weight: float | None = None, seed: int | None = None
-) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
+    """The training settings the command line asks for; the sse method has none."""
+    if args.method == "sse":
+        raise ValueError("the sse method has no trainable parameters; use the sse command")
     return TrainConfig(
-        margin_weight=args.margin_weight if margin_weight is None else margin_weight,
+        margin_weight=args.margin_weight,
         reg_coeff=args.reg,
         learning_rate=args.lr,
         batch_nodes=args.batch_nodes,
         pairs_per_class=args.pairs_per_class,
         epochs=args.epochs,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
     )
 
 

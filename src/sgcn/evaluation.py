@@ -6,7 +6,7 @@ is summarized by AUC (probability a random positive test edge outranks a
 random negative one, ties counted half) and by F1 of the positive-link
 class at a fixed 0.5 threshold. :func:`run_experiment` wires the whole
 protocol together: ingest, split, embed from the train side only, fit,
-score.
+score. The CLI's ``train`` and ``eval`` run the same steps through its helpers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .graph import (
     EdgeSplit,
-    SignedEdge,
     SignedGraph,
     load_edge_list,
     split_train_test,
@@ -40,12 +39,16 @@ __all__ = [
     "f1",
     "score_embeddings",
     "run_experiment",
+    "split_and_features",
+    "model_input",
 ]
 
 METHODS = ("sse", "sgcn-1", "sgcn-1+", "sgcn-2")
 
 # Probability above which the probe predicts a positive link, for F1.
 _THRESHOLD = 0.5
+# The probe's L2 penalty and its cap on Newton steps, see fit_logreg.
+_L2, _MAX_ITER = 1.0, 500
 
 
 class DegenerateDataError(ValueError):
@@ -85,28 +88,24 @@ class EvalReport:
     n_test_neg: int
 
 
-def build_pairs(z: np.ndarray, edges: list[SignedEdge]) -> PairDataset:
-    """Concatenate endpoint embeddings per edge, oriented (min id, max id)."""
-    width = z.shape[1]
-    features = np.zeros((len(edges), 2 * width))
-    labels = np.zeros(len(edges), dtype=np.intp)
-    for row, (u, v, sign) in enumerate(edges):
-        if not (0 <= u < z.shape[0] and 0 <= v < z.shape[0]):
-            raise ValueError(f"edge ({u}, {v}) references unknown node")
-        a, b = (u, v) if u < v else (v, u)
-        features[row, :width] = z[a]
-        features[row, width:] = z[b]
-        labels[row] = 1 if sign > 0 else 0
+def build_pairs(z: np.ndarray, edges) -> PairDataset:
+    """Concatenate endpoint embeddings per ``(u, v, sign)`` row, oriented (min id, max id)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    ends = np.sort(edges[:, :2], axis=1)
+    unknown = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 1] >= z.shape[0]))
+    if len(unknown):
+        u, v, _ = edges[unknown[0]]
+        raise ValueError(f"edge ({u}, {v}) references unknown node")
+    features = z[ends].reshape(len(ends), 2 * z.shape[1])  # one copy, no concatenation
+    labels = (edges[:, 2] > 0).astype(np.intp)
     return PairDataset(features=features, labels=labels)
 
 
-def fit_logreg(
-    train: PairDataset, l2: float = 1.0, max_iter: int = 500
-) -> LogisticModel:
+def fit_logreg(train: PairDataset) -> LogisticModel:
     """Newton's method on the L2-regularized logistic loss.
 
-    The penalty enters as ``l2 * ||w||^2 / m`` (intercept unpenalized).
-    Iterates until the gradient sup-norm drops below 1e-6 or ``max_iter``
+    The penalty enters as ``_L2 * ||w||^2 / m`` (intercept unpenalized).
+    Iterates until the gradient sup-norm drops below 1e-6 or ``_MAX_ITER``
     steps; fully deterministic. Requires both classes in the labels.
     """
     y = train.labels.astype(np.float64)
@@ -122,14 +121,14 @@ def fit_logreg(
     def objective(b):
         margins = decision(b)
         nll = np.mean(np.logaddexp(0.0, margins) - y * margins)
-        return nll + l2 * np.dot(b[:d], b[:d]) / m
+        return nll + _L2 * np.dot(b[:d], b[:d]) / m
 
     obj = objective(beta)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         p = 1.0 / (1.0 + np.exp(-decision(beta)))
         residual = p - y
         grad = np.empty(d + 1)
-        grad[:d] = x.T @ residual / m + 2.0 * l2 * beta[:d] / m
+        grad[:d] = x.T @ residual / m + 2.0 * _L2 * beta[:d] / m
         grad[d] = residual.mean()
         if np.abs(grad).max() <= 1e-6:
             break
@@ -137,7 +136,7 @@ def fit_logreg(
         xs = x * s[:, None]
         hess = np.empty((d + 1, d + 1))
         hess[:d, :d] = x.T @ xs / m
-        hess[:d, :d][np.diag_indices(d)] += 2.0 * l2 / m
+        hess[:d, :d][np.diag_indices(d)] += 2.0 * _L2 / m
         hess[:d, d] = hess[d, :d] = xs.sum(axis=0) / m
         hess[d, d] = s.sum() / m
         try:
@@ -189,8 +188,8 @@ def f1(predictions, labels, positive_class: int = 1) -> float:
 
 def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
     """Fit the logistic probe on the train edges and score the held-out ones."""
-    train_pairs = build_pairs(z, list(split.train.edges()))
-    test_pairs = build_pairs(z, list(split.test))
+    train_pairs = build_pairs(z, split.train.edge_array())
+    test_pairs = build_pairs(z, split.test)
     model = fit_logreg(train_pairs)
     probs = model.predict_proba(test_pairs.features)
     n_test_pos = int(test_pairs.labels.sum())
@@ -223,9 +222,8 @@ def run_experiment(
     and every downstream stage are deterministic in ``seed``. ``method`` is
     one of ``sse``, ``sgcn-1``, ``sgcn-1+``, ``sgcn-2``.
 
-    ``feature_cache`` (optional dict, scoped to one dataset) memoizes the
-    (split, spectral features) pair per (seed, test_fraction, dim), which
-    several methods sharing a seed would otherwise recompute.
+    ``feature_cache`` is passed to :func:`split_and_features`; it spares
+    several methods sharing a seed the recomputation of the features.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -234,26 +232,47 @@ def run_experiment(
     else:
         graph = to_undirected(load_edge_list(source, format))
 
-    dim = min(embedding_dim, graph.n)
-    cache_key = (seed, test_fraction, dim)
-    if feature_cache is not None and cache_key in feature_cache:
-        split, x = feature_cache[cache_key]
-    else:
-        split = split_train_test(graph, test_fraction, seed)
-        x = spectral_embedding(split.train, dim)
-        if feature_cache is not None:
-            feature_cache[cache_key] = (split, x)
-
+    split, x = split_and_features(graph, test_fraction, seed, embedding_dim, feature_cache)
     if method == "sse":
         z = x
     else:
-        sgcn_cfg = sgcn_config_for(method, d_in=dim, d_hidden=hidden_dim)
+        sgcn_cfg = sgcn_config_for(method, d_in=x.shape[1], d_hidden=hidden_dim)
         cfg = train_cfg if train_cfg is not None else TrainConfig(seed=seed)
-        # Unit-norm eigenvector columns have O(1/sqrt(n)) entries; rescale the
-        # model input to unit RMS so the layers start in their design regime.
-        result = fit(split.train, x * np.sqrt(graph.n), cfg, sgcn_cfg)
-        z = result.embeddings
+        z = fit(split.train, model_input(x), cfg, sgcn_cfg).embeddings
     return score_embeddings(z, split)
+
+
+def feature_dim(graph: SignedGraph, dim: int) -> int:
+    """The spectral feature width for a requested ``dim``: at most one column per node."""
+    return min(dim, graph.n)
+
+
+def split_and_features(
+    graph: SignedGraph, test_fraction: float, seed: int, dim: int, feature_cache: dict | None = None
+) -> tuple[EdgeSplit, np.ndarray]:
+    """The held-out split and the unit-norm spectral features of its train side.
+
+    ``feature_cache`` (a dict scoped to one graph) memoizes both per
+    ``(seed, test_fraction, feature_dim(graph, dim))``.
+    """
+    dim = feature_dim(graph, dim)
+    cache_key = (seed, test_fraction, dim)
+    if feature_cache is not None and cache_key in feature_cache:
+        return feature_cache[cache_key]
+    split = split_train_test(graph, test_fraction, seed)
+    x = spectral_embedding(split.train, dim)
+    if feature_cache is not None:
+        feature_cache[cache_key] = (split, x)
+    return split, x
+
+
+def model_input(x: np.ndarray) -> np.ndarray:
+    """Spectral features rescaled to unit RMS, the two-track model's input.
+
+    Unit-norm eigenvector columns have O(1/sqrt(n)) entries; rescaled, they
+    start the layers in their design regime.
+    """
+    return x * np.sqrt(x.shape[0])
 
 
 def sgcn_config_for(method: str, d_in: int, d_hidden: int = 32) -> SgcnConfig:

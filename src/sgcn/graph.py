@@ -212,19 +212,14 @@ def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
     return records
 
 
-def to_undirected(
-    records: list[tuple[int, int, int]], policy: str = "sum-sign"
-) -> SignedGraph:
+def to_undirected(records: list[tuple[int, int, int]]) -> SignedGraph:
     """Fold directed signed records into an undirected :class:`SignedGraph`.
 
     Node ids are compacted to ``0..n-1`` in ascending raw-id order; the raw
-    ids survive on ``SignedGraph.raw_ids``. Under the ``sum-sign`` policy the
-    sign of an unordered pair is the sign of the summed record signs, and
-    pairs whose signs cancel are dropped (their endpoints stay as nodes).
-    Self-loop records are ignored.
+    ids survive on ``SignedGraph.raw_ids``. The sign of an unordered pair is
+    the sign of the summed record signs, and pairs whose signs cancel are
+    dropped (their endpoints stay as nodes). Self-loop records are ignored.
     """
-    if policy != "sum-sign":
-        raise ValueError(f"unknown conflict policy {policy!r}")
     if not records:
         raise ValueError("no records to convert")
     raw_ids = tuple(sorted({u for u, _, _ in records} | {v for _, v, _ in records}))

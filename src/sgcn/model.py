@@ -258,15 +258,9 @@ def backward_pass(
     return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E], rng_seed=params.rng_seed)
 
 
-def embed_all(
-    g: SignedGraph,
-    x: np.ndarray,
-    params: SgcnParams,
-    cfg: SgcnConfig,
-    ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix] | None = None,
-) -> np.ndarray:
+def embed_all(g: SignedGraph, x: np.ndarray, params: SgcnParams, cfg: SgcnConfig) -> np.ndarray:
     """Node embeddings: last layer's friend and enemy states, concatenated."""
-    final = forward_pass(g, x, params, cfg, ops=ops)[-1]
+    final = forward_pass(g, x, params, cfg)[-1]
     return np.hstack([final.friend, final.enemy])
 
 

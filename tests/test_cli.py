@@ -7,6 +7,8 @@ import pytest
 
 from sgcn.cli import main
 from sgcn import io as artifacts
+from sgcn.evaluation import run_experiment
+from sgcn.training import TrainConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -195,6 +197,14 @@ class TestSweepLambda:
         assert int(agg[0]["n_seeds"]) == 3
         assert float(agg[0]["std_auc"]) >= 0.0
 
+    def test_sse_refused(self, dataset, tmp_path, capsys):
+        # Every lambda would give the same untrained spectral row.
+        out = tmp_path / "out"
+        assert run(["sweep-lambda", "--dataset", dataset, "--method", "sse",
+                    "--lambdas", "0,5", "--out", out, "--dim", "8"]) == 1
+        assert "no trainable parameters" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 class TestOutputDirEnv:
     def test_env_var_sets_default_out(self, dataset, tmp_path, monkeypatch, capsys):
@@ -223,3 +233,20 @@ class TestBundledDatasets:
         assert "nodes=5881" in printed
         assert "positive_edges=18233" in printed
         assert "negative_edges=2901" in printed
+
+    @pytest.mark.parametrize("method", ["sgcn-1", "sgcn-1+", "sgcn-2", "sse"])
+    def test_train_eval_report_equals_run_experiment(self, tmp_path, method):
+        # The CLI and run_experiment run one protocol: same split, features,
+        # model input and probe.
+        dataset = DATA_DIR / "bitcoin_alpha.csv"
+        flags = ["--dataset", dataset, "--method", method, "--seed", "3", "--out", tmp_path,
+                 "--epochs", "5", "--dim", "16", "--hidden-dim", "8"]
+        if method != "sse":
+            assert run(["train", *flags]) == 0
+        assert run(["eval", *flags]) == 0
+        (row,) = csv_rows(tmp_path / "report.csv")
+        report = run_experiment(dataset, method, 3, embedding_dim=16, hidden_dim=8,
+                                train_cfg=TrainConfig(epochs=5, seed=3))
+        assert (row["auc"], row["f1"]) == (repr(report.auc), repr(report.f1))
+        assert (int(row["n_test_pos"]), int(row["n_test_neg"])) == (
+            report.n_test_pos, report.n_test_neg)

@@ -46,9 +46,11 @@ class TestBuildPairs:
         assert ds.features.shape == (0, 6)
         assert ds.labels.shape == (0,)
 
-    def test_unknown_node_rejected(self):
+    @pytest.mark.parametrize("edge", [SignedEdge(0, 5, 1), SignedEdge(-1, 0, 1)],
+                             ids=["past-last", "negative"])
+    def test_unknown_node_rejected(self, edge):
         with pytest.raises(ValueError):
-            build_pairs(np.ones((2, 3)), [SignedEdge(0, 5, 1)])
+            build_pairs(np.ones((2, 3)), [edge])
 
 
 class TestFitLogreg:
@@ -99,7 +101,7 @@ class TestFitLogreg:
         features = rng.standard_normal((200, 4))
         labels = (features @ [1.0, -2.0, 0.5, 0.0] > 0.2).astype(int)
         ds = PairDataset(features, labels)
-        model = fit_logreg(ds, l2=1.0)
+        model = fit_logreg(ds)
         m = len(labels)
         p = model.predict_proba(features)
         grad_w = features.T @ (p - labels) / m + 2.0 * model.weights / m

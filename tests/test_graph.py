@@ -118,10 +118,6 @@ class TestToUndirected:
         with pytest.raises(ValueError):
             to_undirected([])
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            to_undirected([(1, 2, 1)], policy="majority")
-
     def test_invariants_validated(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

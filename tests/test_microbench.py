@@ -13,7 +13,8 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from sgcn.graph import load_edge_list, split_train_test, to_undirected
+from sgcn.evaluation import model_input, split_and_features
+from sgcn.graph import load_edge_list, to_undirected
 from sgcn.model import (
     SgcnConfig,
     backward_pass,
@@ -38,9 +39,8 @@ def alpha():
     ``first`` holds the first layer's input blocks ``(P.x, x)`` and ``(N.x, x)``.
     """
     g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
-    train = split_train_test(g, 0.2, seed=0).train
-    features = spectral_embedding(train, DIM)
-    x = features * np.sqrt(train.n)
+    split, features = split_and_features(g, 0.2, seed=0, dim=DIM)
+    train, x = split.train, model_input(features)
     cfg = SgcnConfig(d_in=DIM)
     params = init_params(cfg, seed=0)
     ops = neighbor_mean_ops(train)
