@@ -4,8 +4,8 @@ Subcommands cover the whole pipeline: ``ingest`` (parse + compact a raw
 edge list), ``sse`` (spectral embedding), ``train`` (fit the two-track
 model), ``eval`` (link-sign prediction report), ``triangles`` (balance
 census), and ``sweep-lambda`` (margin-weight sensitivity). Every command
-writes its artifacts plus a manifest holding the resolved configuration and
-content hashes of the inputs, and removes partial outputs on failure.
+writes its artifacts plus a manifest holding its flags and the content
+hashes of the inputs, and removes partial outputs on failure.
 """
 
 from __future__ import annotations
@@ -18,15 +18,26 @@ from pathlib import Path
 
 from . import io as artifacts
 from .balance import triangle_census
-from .evaluation import (feature_dim, model_input, run_experiment, score_embeddings,
-                         sgcn_config_for, split_and_features)
+from .evaluation import (DEFAULT_DIM, DEFAULT_FORMAT, DEFAULT_TEST_FRACTION, feature_dim,
+                         model_input, run_experiment, score_embeddings, sgcn_config_for,
+                         split_and_features)
 from .graph import load_edge_list, to_undirected
-from .model import embed_all
+from .model import SgcnConfig, embed_all
 from .spectral import spectral_embedding
 from .training import TrainConfig, fit
 
 _OUT_ENV = "SGCN_OUT_DIR"
 _MODEL_METHODS = ("sgcn-1", "sgcn-1+", "sgcn-2")
+# Each training flag, the name the manifest records it under, and the
+# TrainConfig field it sets, which holds its default.
+_TRAINING_FLAGS = (
+    ("--lambda", "margin_weight", "margin_weight"),
+    ("--epochs", "epochs", "epochs"),
+    ("--lr", "lr", "learning_rate"),
+    ("--reg", "reg", "reg_coeff"),
+    ("--batch-nodes", "batch_nodes", "batch_nodes"),
+    ("--pairs-per-class", "pairs_per_class", "pairs_per_class"),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,19 +63,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No parser takes abbreviations, so that a flag a command lacks is an
+    # error rather than a prefix of another, as --lambda is of --lambdas.
     parser = argparse.ArgumentParser(
         prog="sgcn",
         description="Signed-network embeddings and link-sign prediction",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False, training=False):
+    def command(name, handler, help):
+        # --seed is on every command so that one argument list serves each
+        # step of a pipeline; ingest, sse and triangles do not read it.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--dataset", required=True, help="edge-list file to ingest")
         p.add_argument(
             "--format",
             choices=["weighted-csv", "signed-tsv"],
-            default="weighted-csv",
-            help="edge-list format (default: weighted-csv)",
+            default=DEFAULT_FORMAT,
+            help=f"edge-list format (default: {DEFAULT_FORMAT})",
         )
         p.add_argument(
             "--out",
@@ -72,51 +89,44 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"output directory (default: ${_OUT_ENV} or ./sgcn-out)",
         )
         p.add_argument("--seed", type=int, default=0)
-        if method:
-            p.add_argument(
-                "--method",
-                choices=["sse", *_MODEL_METHODS],
-                default="sgcn-2",
-            )
-        if training:
-            p.add_argument("--lambda", dest="margin_weight", type=float, default=5.0)
-            p.add_argument("--epochs", type=int, default=300)
-            p.add_argument("--lr", type=float, default=0.01)
-            p.add_argument("--reg", type=float, default=1e-4)
-            p.add_argument("--batch-nodes", type=int, default=500)
-            p.add_argument("--pairs-per-class", type=int, default=5)
-            p.add_argument("--dim", type=int, default=64, help="input feature width")
-            p.add_argument("--hidden-dim", type=int, default=32)
-            p.add_argument("--test-fraction", type=float, default=0.2)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("ingest", help="parse, compact, and cache a signed graph")
-    common(p)
-    p.set_defaults(handler=_cmd_ingest)
+    def protocol(p):
+        """The method, and the split and widths of the link-sign protocol."""
+        p.add_argument("--method", choices=["sse", *_MODEL_METHODS], default="sgcn-2")
+        p.add_argument("--dim", type=int, default=DEFAULT_DIM, help="input feature width")
+        p.add_argument("--hidden-dim", type=int, default=SgcnConfig.d_hidden)
+        p.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
 
-    p = sub.add_parser("sse", help="spectral embedding of the whole graph")
-    common(p)
-    p.add_argument("--dim", type=int, default=64)
-    p.set_defaults(handler=_cmd_sse)
+    def training(p, flags):
+        for flag, dest, field in flags:
+            default = getattr(TrainConfig, field)
+            p.add_argument(flag, dest=dest, type=type(default), default=default)
 
-    p = sub.add_parser("train", help="fit the two-track model on a train split")
-    common(p, method=True, training=True)
-    p.set_defaults(handler=_cmd_train)
+    command("ingest", _cmd_ingest, "parse, compact, and cache a signed graph")
 
-    p = sub.add_parser("eval", help="score held-out link signs")
-    common(p, method=True, training=True)
+    p = command("sse", _cmd_sse, "spectral embedding of the whole graph")
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
+
+    p = command("train", _cmd_train, "fit the two-track model on a train split")
+    protocol(p)
+    training(p, _TRAINING_FLAGS)
+
+    p = command("eval", _cmd_eval, "score held-out link signs")
+    protocol(p)
     p.add_argument(
         "--checkpoint",
         default=None,
         help="trained checkpoint (default: <out>/checkpoint.npz)",
     )
-    p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("triangles", help="triangle balance census")
-    common(p)
-    p.set_defaults(handler=_cmd_triangles)
+    command("triangles", _cmd_triangles, "triangle balance census")
 
-    p = sub.add_parser("sweep-lambda", help="margin-weight sensitivity sweep")
-    common(p, method=True, training=True)
+    p = command("sweep-lambda", _cmd_sweep, "margin-weight sensitivity sweep")
+    protocol(p)
+    # The sweep sets the margin weight from --lambdas.
+    training(p, [flag for flag in _TRAINING_FLAGS if flag[0] != "--lambda"])
     p.add_argument(
         "--lambdas",
         default="0,1,5,10",
@@ -127,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated split seeds (default: just --seed)",
     )
-    p.set_defaults(handler=_cmd_sweep)
 
     return parser
 
@@ -242,12 +251,8 @@ def _cmd_triangles(args, emit):
 
 def _cmd_sweep(args, emit):
     train_cfg = _train_config(args)
-    lambdas = [float(v) for v in args.lambdas.split(",") if v.strip() != ""]
-    seeds = (
-        [int(v) for v in args.seeds.split(",") if v.strip() != ""]
-        if args.seeds
-        else [args.seed]
-    )
+    lambdas = _listed(args.lambdas, float, "--lambdas")
+    seeds = [args.seed] if args.seeds is None else _listed(args.seeds, int, "--seeds")
     graph = _ingest(args)
     cache: dict = {}
     rows = []
@@ -271,19 +276,24 @@ def _cmd_sweep(args, emit):
     _manifest(args, emit, "sweep-lambda", ["report.csv", "aggregate.csv"])
 
 
+def _listed(text: str, kind, flag: str) -> list:
+    """The comma-separated values of a list flag; an empty list is refused."""
+    values = [kind(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError(f"{flag} lists no values")
+    return values
+
+
 def _train_config(args) -> TrainConfig:
-    """The training settings the command line asks for; the sse method has none."""
+    """The training settings the command line asks for; the sse method has none.
+
+    A training flag the command lacks keeps its field's default, as the
+    margin weight does in sweep-lambda until the sweep sets it.
+    """
     if args.method == "sse":
         raise ValueError("the sse method has no trainable parameters; use the sse command")
-    return TrainConfig(
-        margin_weight=args.margin_weight,
-        reg_coeff=args.reg,
-        learning_rate=args.lr,
-        batch_nodes=args.batch_nodes,
-        pairs_per_class=args.pairs_per_class,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    given = {field: getattr(args, dest) for _, dest, field in _TRAINING_FLAGS if dest in args}
+    return TrainConfig(seed=args.seed, **given)
 
 
 def _split_of(args) -> dict:

@@ -45,6 +45,13 @@ __all__ = [
 
 METHODS = ("sse", "sgcn-1", "sgcn-1+", "sgcn-2")
 
+# The protocol's defaults, which run_experiment and the CLI share: the
+# edge-list format of the bundled data, the spectral feature width, and
+# the held-out share of the edges, 20% as in Derr et al. (section V).
+DEFAULT_FORMAT = "weighted-csv"
+DEFAULT_DIM = 64
+DEFAULT_TEST_FRACTION = 0.2
+
 # Probability above which the probe predicts a positive link, for F1.
 _THRESHOLD = 0.5
 # The probe's L2 penalty and its cap on Newton steps, see fit_logreg.
@@ -172,15 +179,15 @@ def auc(scores, labels) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def f1(predictions, labels, positive_class: int = 1) -> float:
-    """Harmonic mean of precision and recall for the chosen class; 0 if empty."""
+def f1(predictions, labels) -> float:
+    """Harmonic mean of precision and recall for the positive-link class 1; 0 if empty."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if len(predictions) == 0 or len(predictions) != len(labels):
         raise ValueError("predictions and labels must be same nonzero length")
-    tp = int(np.sum((predictions == positive_class) & (labels == positive_class)))
-    fp = int(np.sum((predictions == positive_class) & (labels != positive_class)))
-    fn = int(np.sum((predictions != positive_class) & (labels == positive_class)))
+    tp = int(np.sum((predictions == 1) & (labels == 1)))
+    fp = int(np.sum((predictions == 1) & (labels != 1)))
+    fn = int(np.sum((predictions != 1) & (labels == 1)))
     if 2 * tp + fp + fn == 0:
         return 0.0
     return 2.0 * tp / (2 * tp + fp + fn)
@@ -207,10 +214,10 @@ def run_experiment(
     method: str,
     seed: int,
     *,
-    format: str = "weighted-csv",
-    test_fraction: float = 0.2,
-    embedding_dim: int = 64,
-    hidden_dim: int = 32,
+    format: str = DEFAULT_FORMAT,
+    test_fraction: float = DEFAULT_TEST_FRACTION,
+    embedding_dim: int = DEFAULT_DIM,
+    hidden_dim: int = SgcnConfig.d_hidden,
     train_cfg: TrainConfig | None = None,
     feature_cache: dict | None = None,
 ) -> EvalReport:
@@ -275,7 +282,7 @@ def model_input(x: np.ndarray) -> np.ndarray:
     return x * np.sqrt(x.shape[0])
 
 
-def sgcn_config_for(method: str, d_in: int, d_hidden: int = 32) -> SgcnConfig:
+def sgcn_config_for(method: str, d_in: int, d_hidden: int) -> SgcnConfig:
     """Model shape implied by a method name."""
     if method == "sgcn-1":
         return SgcnConfig(d_in=d_in, d_hidden=d_hidden, layers=1)

@@ -38,7 +38,7 @@ __all__ = [
     "write_manifest",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_arrays(path, **arrays) -> None:
@@ -108,10 +108,12 @@ def save_checkpoint(
     mlg: MlgParams,
     split: dict,
 ) -> None:
-    """Bundle configs, every weight matrix, classifier parameters, and seed.
+    """Bundle configs, every weight matrix and the classifier parameters.
 
     ``split`` holds the ``test_fraction``, ``seed`` and ``dataset_sha1`` of
-    the train/test split the weights were fit on.
+    the train/test split the weights were fit on; ``train_cfg.seed`` is the
+    initialization seed. The format is version 3, and
+    :func:`load_checkpoint` refuses any other.
     """
     arrays = {
         "version": np.int64(CHECKPOINT_VERSION),
@@ -120,7 +122,6 @@ def save_checkpoint(
         "split": _json_array(split),
         "mlg_theta": mlg.theta,
         "mlg_bias": mlg.bias,
-        "seed": np.int64(params.rng_seed),
     }
     for i, w in enumerate(params.w_friend):
         arrays[f"w_friend_{i}"] = w
@@ -140,7 +141,6 @@ def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParam
     params = SgcnParams(
         w_friend=[data[f"w_friend_{i}"] for i in range(layers)],
         w_enemy=[data[f"w_enemy_{i}"] for i in range(layers)],
-        rng_seed=int(data["seed"]),
     )
     mlg = MlgParams(theta=data["mlg_theta"], bias=data["mlg_bias"])
     return sgcn_cfg, train_cfg, params, mlg, _json_value(data["split"])

@@ -101,7 +101,6 @@ class SgcnParams:
 
     w_friend: list[np.ndarray]
     w_enemy: list[np.ndarray]
-    rng_seed: int
 
     def all_weights(self) -> list[np.ndarray]:
         return list(self.w_friend) + list(self.w_enemy)
@@ -110,7 +109,6 @@ class SgcnParams:
         return SgcnParams(
             w_friend=[w.copy() for w in self.w_friend],
             w_enemy=[w.copy() for w in self.w_enemy],
-            rng_seed=self.rng_seed,
         )
 
 
@@ -136,7 +134,7 @@ def init_params(cfg: SgcnConfig, seed: int) -> SgcnParams:
         scale = np.sqrt(6.0 / (fan_in + cfg.d_hidden))
         w_friend.append(rng.uniform(-scale, scale, size=(cfg.d_hidden, fan_in)))
         w_enemy.append(rng.uniform(-scale, scale, size=(cfg.d_hidden, fan_in)))
-    return SgcnParams(w_friend=w_friend, w_enemy=w_enemy, rng_seed=seed)
+    return SgcnParams(w_friend=w_friend, w_enemy=w_enemy)
 
 
 def neighbor_mean_ops(
@@ -255,7 +253,7 @@ def backward_pass(
                 if op is not _OWN:
                     part = ops[op].T @ part
                 g_state[source] = part if g_state[source] is None else g_state[source] + part
-    return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E], rng_seed=params.rng_seed)
+    return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
 
 
 def embed_all(g: SignedGraph, x: np.ndarray, params: SgcnParams, cfg: SgcnConfig) -> np.ndarray:

@@ -5,13 +5,13 @@ and ``D`` is the diagonal of *absolute* degrees; it is symmetric positive
 semidefinite, and a connected graph's smallest eigenvalue is zero exactly
 when the graph is balanced (2-colorable across negative edges).
 
-For embeddings the degree-normalized form ``I - D^{-1/2} A D^{-1/2}`` is
-used by default: on sparse trust networks the plain operator's bottom
-eigenvectors are indicator spikes on isolated nodes and tiny balanced
-fragments (every such component contributes an exact zero eigenvalue),
-which starves the embedding of any information about the main component.
-Normalization keeps fragment eigenvectors at zero but moves isolated nodes
-to eigenvalue 1, out of the informative bottom of the spectrum.
+Embeddings use only the degree-normalized form ``I - D^{-1/2} A D^{-1/2}``:
+on sparse trust networks the plain operator's bottom eigenvectors are
+indicator spikes on isolated nodes and tiny balanced fragments (every such
+component contributes an exact zero eigenvalue), which starves the
+embedding of any information about the main component. Normalization keeps
+fragment eigenvectors at zero but moves isolated nodes to eigenvalue 1, out
+of the informative bottom of the spectrum.
 
 One solver computes every embedding narrower than the graph: ARPACK's
 shift-invert Lanczos (``scipy.sparse.linalg.eigsh``) on the sparse operator,
@@ -47,15 +47,9 @@ def signed_laplacian(g: SignedGraph) -> np.ndarray:
     return lap
 
 
-def _embedding_operator(
-    adj: scipy.sparse.csr_matrix, normalization: str
-) -> scipy.sparse.csr_matrix:
+def _embedding_operator(adj: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     n = adj.shape[0]
     degrees = np.asarray(np.abs(adj).sum(axis=1)).ravel()
-    if normalization == "none":
-        return scipy.sparse.diags(degrees) - adj
-    if normalization != "degree":
-        raise ValueError(f"unknown normalization {normalization!r}")
     inv_sqrt = np.zeros(n)
     nonzero = degrees > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
@@ -65,16 +59,15 @@ def _embedding_operator(
     return scipy.sparse.identity(n, format="csr") - scipy.sparse.csr_matrix(scaled)
 
 
-def _null_space_basis(adj: scipy.sparse.csr_matrix, normalization: str) -> np.ndarray:
+def _null_space_basis(adj: scipy.sparse.csr_matrix) -> np.ndarray:
     """Canonical basis of the embedding operator's zero eigenspace.
 
-    There is one column per balanced component: one whose 2-colouring ``c``
-    in {+1, -1} keeps every positive edge inside a colour class and puts
-    every negative edge across. The column is ``c`` on the component for
-    ``"none"`` and ``D^{1/2} c`` for ``"degree"``, scaled to unit norm.
-    Isolated nodes count as components for ``"none"`` only; the normalized
-    operator puts them at eigenvalue 1. Columns are ordered by each
-    component's smallest node id, which the colouring gives +1.
+    There is one column per balanced component of two or more nodes: one
+    whose 2-colouring ``c`` in {+1, -1} keeps every positive edge inside a
+    colour class and puts every negative edge across. The column is
+    ``D^{1/2} c`` on the component, scaled to unit norm. An isolated node
+    has no column; the operator puts it at eigenvalue 1. Columns are ordered
+    by each component's smallest node id, which the colouring gives +1.
     """
     n = adj.shape[0]
     indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
@@ -97,27 +90,21 @@ def _null_space_basis(adj: scipy.sparse.csr_matrix, normalization: str) -> np.nd
                     stack.append(v)
                 elif colour[v] != want:
                     balanced = False
-        if not balanced or (normalization == "degree" and len(members) == 1):
+        if not balanced or len(members) == 1:
             continue
         col = np.zeros(n)
         col[members] = [colour[v] for v in members]
-        if normalization == "degree":
-            col[members] *= np.sqrt(degrees[members])
+        col[members] *= np.sqrt(degrees[members])
         columns.append(col / np.linalg.norm(col))
     return np.column_stack(columns) if columns else np.zeros((n, 0))
 
 
-def spectral_embedding(
-    g: SignedGraph,
-    d: int,
-    normalization: str = "degree",
-    return_eigenvalues: bool = False,
-):
+def spectral_embedding(g: SignedGraph, d: int, return_eigenvalues: bool = False):
     """Embed nodes with the ``d`` eigenvectors of the smallest eigenvalues.
 
-    Columns are unit-norm eigenvectors of the signed Laplacian (degree
-    normalized by default, ``normalization="none"`` for the plain form),
-    ordered by ascending eigenvalue. The zero-eigenvalue columns are the
+    Columns are unit-norm eigenvectors of the degree-normalized signed
+    Laplacian, ordered by ascending eigenvalue; ``return_eigenvalues`` also
+    returns those eigenvalues. The zero-eigenvalue columns are the
     canonical per-component vectors of :func:`_null_space_basis`. Each
     column's sign is then fixed so that its largest-magnitude entry is
     positive. The output is then the same, bit for bit, in every run and
@@ -126,7 +113,7 @@ def spectral_embedding(
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={g.n}")
-    operator = _embedding_operator(g.adj, normalization)
+    operator = _embedding_operator(g.adj)
     if d == g.n:
         vals, vecs = np.linalg.eigh(operator.toarray())
     else:
@@ -140,7 +127,7 @@ def spectral_embedding(
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    null = _null_space_basis(g.adj, normalization)[:, :d]
+    null = _null_space_basis(g.adj)[:, :d]
     k = null.shape[1]
     vecs[:, :k] = null
     vals[:k] = 0.0

@@ -81,9 +81,10 @@ class TrainConfig:
 
     ``margin_weight`` scales the two hinge terms against the classifier
     term; ``pairs_per_class`` caps how many pairs of each label one anchor
-    contributes to a batch. ``classifier_bias`` toggles the per-class bias
-    extension of the pair classifier; when it is off the bias stays at
-    zero. ``learning_rate`` is Adam's step size.
+    contributes to a batch. ``learning_rate`` is Adam's step size. The pair
+    classifier's per-class bias is always trained. The training flags of
+    ``sgcn train`` and ``sgcn sweep-lambda`` take their defaults from these
+    fields.
     """
 
     margin_weight: float = 5.0
@@ -93,7 +94,6 @@ class TrainConfig:
     pairs_per_class: int = 5
     epochs: int = 300
     seed: int = 0
-    classifier_bias: bool = True
 
     def __post_init__(self):
         if self.margin_weight < 0 or self.reg_coeff < 0:
@@ -328,9 +328,7 @@ def fit(
     ops = neighbor_mean_ops(train)
     first_inputs = first_layer_inputs(x, ops)  # x is fixed, so these are too
     history: list[LossParts] = []
-    trained = params.all_weights() + [mlg.theta]
-    if cfg.classifier_bias:
-        trained.append(mlg.bias)
+    trained = params.all_weights() + [mlg.theta, mlg.bias]
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in trained]
     beta1, beta2 = _ADAM_BETAS
     for epoch in range(cfg.epochs):
@@ -340,7 +338,6 @@ def fit(
         if not np.isfinite(parts.total):
             raise DivergenceError(epoch, parts.total)
         history.append(parts)
-        # The bias gradient comes last, so zip drops it when the bias is frozen.
         grads = grad_w.all_weights() + [grad_mlg.theta, grad_mlg.bias]
         t = epoch + 1
         for w, g, (m, v) in zip(trained, grads, moments):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgcn.cli import main
+from sgcn.cli import _build_parser, _train_config, main
 from sgcn import io as artifacts
 from sgcn.evaluation import run_experiment
 from sgcn.training import TrainConfig
@@ -40,8 +40,14 @@ def csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-FAST_TRAIN = ["--epochs", "6", "--batch-nodes", "20", "--pairs-per-class", "2",
-              "--dim", "8", "--hidden-dim", "4"]
+def manifest_config(out, command):
+    return json.loads((out / f"{command}_manifest.json").read_text())["config"]
+
+
+# The model's shape, which eval must be given as train was; eval takes no
+# training flags.
+SHAPE = ["--dim", "8", "--hidden-dim", "4"]
+FAST_TRAIN = ["--epochs", "6", "--batch-nodes", "20", "--pairs-per-class", "2", *SHAPE]
 
 
 class TestIngest:
@@ -121,11 +127,14 @@ class TestTrainEval:
         assert run(["train", "--dataset", dataset, "--method", "sgcn-2",
                     "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
         assert run(["eval", "--dataset", dataset, "--method", "sgcn-2",
-                    "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
+                    "--seed", "2", "--out", out, *SHAPE]) == 0
         rows = csv_rows(out / "report.csv")
         assert len(rows) == 1
         assert rows[0]["method"] == "sgcn-2"
         assert 0.0 <= float(rows[0]["auc"]) <= 1.0
+        # eval reads no training flag, so its manifest records none.
+        assert manifest_config(out, "train")["epochs"] == 6
+        assert "epochs" not in manifest_config(out, "eval")
 
     @pytest.mark.parametrize(
         "eval_flags, trained, given",
@@ -145,7 +154,7 @@ class TestTrainEval:
         assert run(["train", "--dataset", dataset, "--method", "sgcn-2",
                     "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
         assert run(["eval", "--dataset", dataset, "--method", "sgcn-2",
-                    "--seed", "2", "--out", out, *FAST_TRAIN, *eval_flags]) == 1
+                    "--seed", "2", "--out", out, *SHAPE, *eval_flags]) == 1
         err = capsys.readouterr().err
         assert trained in err and given in err
         assert not (out / "report.csv").exists()
@@ -156,6 +165,13 @@ class TestTrainEval:
                     "--dim", "8", "--out", out]) == 0
         rows = csv_rows(out / "report.csv")
         assert rows[0]["method"] == "sse"
+        assert set(manifest_config(out, "eval")) == {
+            "checkpoint", "command", "dataset", "dim", "format", "hidden_dim",
+            "method", "out", "seed", "test_fraction"}
+
+    def test_training_flags_default_to_train_config(self):
+        args = _build_parser().parse_args(["train", "--dataset", "toy.csv"])
+        assert _train_config(args) == TrainConfig(seed=0)
 
 
 class TestTriangles:
@@ -184,6 +200,7 @@ class TestSweepLambda:
                                                "sgcn-2[lambda=5]"]
         agg = csv_rows(out / "aggregate.csv")
         assert len(agg) == 2
+        assert "margin_weight" not in manifest_config(out, "sweep_lambda")
 
     def test_sweep_over_seed_list_aggregates(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -203,6 +220,32 @@ class TestSweepLambda:
         assert run(["sweep-lambda", "--dataset", dataset, "--method", "sse",
                     "--lambdas", "0,5", "--out", out, "--dim", "8"]) == 1
         assert "no trainable parameters" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambdas", "--seeds"])
+    def test_empty_list_refused(self, dataset, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-1",
+                    flag, ",", "--out", out, *FAST_TRAIN]) == 1
+        assert f"{flag} lists no values" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Read as an abbreviation, --lambda would set --lambdas.
+            ["sweep-lambda", "--method", "sgcn-1", "--epochs", "1", "--lambda", "3"],
+            ["eval", "--method", "sse", "--epochs", "5"],
+        ],
+        ids=["sweep-lambda-lambda", "eval-epochs"],
+    )
+    def test_flag_the_command_lacks_is_a_usage_error(self, dataset, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--dataset", dataset, "--out", out, *SHAPE])
+        assert exc.value.code == 2
         assert not (out / "report.csv").exists()
 
 
@@ -240,9 +283,9 @@ class TestBundledDatasets:
         # model input and probe.
         dataset = DATA_DIR / "bitcoin_alpha.csv"
         flags = ["--dataset", dataset, "--method", method, "--seed", "3", "--out", tmp_path,
-                 "--epochs", "5", "--dim", "16", "--hidden-dim", "8"]
+                 "--dim", "16", "--hidden-dim", "8"]
         if method != "sse":
-            assert run(["train", *flags]) == 0
+            assert run(["train", *flags, "--epochs", "5"]) == 0
         assert run(["eval", *flags]) == 0
         (row,) = csv_rows(tmp_path / "report.csv")
         report = run_experiment(dataset, method, 3, embedding_dim=16, hidden_dim=8,

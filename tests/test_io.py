@@ -67,11 +67,26 @@ def test_checkpoint_roundtrip(tmp_path):
     assert cfg2 == sgcn_cfg
     assert split2 == split
     assert tcfg2 == train_cfg
-    assert params2.rng_seed == params.rng_seed
     for a, b in zip(params.all_weights(), params2.all_weights()):
         assert np.array_equal(a, b)
     assert np.array_equal(mlg2.theta, mlg.theta)
     assert np.array_equal(mlg2.bias, mlg.bias)
+
+
+def test_version_2_checkpoint_refused(tmp_path):
+    # Version 2 stored the seed twice and a classifier_bias flag that
+    # TrainConfig no longer has; the version check must come first.
+    sgcn_cfg = SgcnConfig(d_in=2, d_hidden=2, layers=1)
+    path = tmp_path / "checkpoint.npz"
+    artifacts.save_checkpoint(path, sgcn_cfg, TrainConfig(), init_params(sgcn_cfg, 0),
+                              MlgParams.zeros(4), {})
+    arrays = artifacts.load_arrays(path)
+    train_cfg = {**json.loads(arrays["train_cfg"].tobytes()), "classifier_bias": True}
+    arrays.update(version=np.int64(2), seed=np.int64(0),
+                  train_cfg=np.frombuffer(json.dumps(train_cfg).encode(), dtype=np.uint8))
+    artifacts.save_arrays(path, **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        artifacts.load_checkpoint(path)
 
 
 def test_loss_history_csv(tmp_path):

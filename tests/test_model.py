@@ -96,7 +96,7 @@ class TestForwardLayer1:
         cfg = SgcnConfig(d_in=2, d_hidden=1, layers=1)
         wf = np.array([[0.1, -0.2, 0.3, 0.4]])
         we = np.array([[-0.5, 0.6, 0.7, -0.8]])
-        params = SgcnParams(w_friend=[wf], w_enemy=[we], rng_seed=0)
+        params = SgcnParams(w_friend=[wf], w_enemy=[we])
         (state,) = forward_pass(g, x, params, cfg)
         # Node 0: positive neighbors {1}, negative {2}.
         pos_mean = [(-1.0 + 0.5 * 0) / 1, 0.5]  # x_1

@@ -63,9 +63,9 @@ class TestSignedLaplacian:
 def fragmented_graph():
     """Balanced fragments, an unbalanced component and isolated nodes.
 
-    Node ids are shuffled so that the pieces interleave. Returns the graph,
-    each balanced fragment as ``(nodes, colouring)`` with the colouring
-    known by construction, and the isolated nodes.
+    Node ids are shuffled so that the pieces interleave. Returns the graph
+    and each balanced fragment as ``(nodes, colouring)``, with the colouring
+    known by construction.
     """
     rng = np.random.default_rng(59)
     sizes = (5, 4, 2, 3)
@@ -92,8 +92,7 @@ def fragmented_graph():
             if (a, b) not in signs and rng.random() < 0.3:
                 signs[(a, b)] = -1 if rng.random() < 0.3 else 1
     edges += [(rest[a], rest[b], s) for (a, b), s in signs.items()]
-    lonely = label[start + unbalanced_size:]
-    return SignedGraph.from_edges(n, edges), fragments, lonely
+    return SignedGraph.from_edges(n, edges), fragments
 
 
 def sign_fixed(col):
@@ -115,28 +114,32 @@ class TestSpectralEmbedding:
         assert vecs[:, 0] == pytest.approx([1 / np.sqrt(2), -1 / np.sqrt(2)])
 
     def test_plain_operator_matches_laplacian_eigensystem(self):
+        # The embedding's operator, built from the plain Laplacian D - A as
+        # D^{-1/2} (D - A) D^{-1/2}, with an identity row for an isolated node.
         rng = np.random.default_rng(41)
         for _ in range(20):
             g = random_signed_graph(rng, int(rng.integers(2, 12)))
             d = int(rng.integers(1, g.n + 1))
-            vecs, vals = spectral_embedding(g, d, normalization="none",
-                                            return_eigenvalues=True)
+            vecs, vals = spectral_embedding(g, d, return_eigenvalues=True)
             lap = signed_laplacian(g)
-            residual = lap @ vecs - vecs * vals
+            degrees = np.diag(lap)
+            inv_sqrt = np.zeros(g.n)
+            inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+            operator = inv_sqrt[:, None] * lap * inv_sqrt[None, :]
+            operator[degrees == 0, degrees == 0] = 1.0
+            residual = operator @ vecs - vecs * vals
             assert np.abs(residual).max() < 1e-8
-            expected = np.linalg.eigvalsh(lap)[:d]
+            expected = np.linalg.eigvalsh(operator)[:d]
             assert vals == pytest.approx(expected, abs=1e-9)
 
     def test_eigenvalues_ascending_and_vectors_orthonormal(self):
         rng = np.random.default_rng(43)
-        for norm in ("degree", "none"):
-            for _ in range(10):
-                g = random_signed_graph(rng, 10, edge_prob=0.5)
-                vecs, vals = spectral_embedding(g, 6, normalization=norm,
-                                                return_eigenvalues=True)
-                assert np.all(np.diff(vals) >= -1e-12)
-                gram = vecs.T @ vecs
-                assert np.abs(gram - np.eye(6)).max() < 1e-8
+        for _ in range(10):
+            g = random_signed_graph(rng, 10, edge_prob=0.5)
+            vecs, vals = spectral_embedding(g, 6, return_eigenvalues=True)
+            assert np.all(np.diff(vals) >= -1e-12)
+            gram = vecs.T @ vecs
+            assert np.abs(gram - np.eye(6)).max() < 1e-8
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(47)
@@ -168,11 +171,6 @@ class TestSpectralEmbedding:
         with pytest.raises(ValueError):
             spectral_embedding(g, 0)
 
-    def test_unknown_normalization(self):
-        g = SignedGraph.from_edges(2, [(0, 1, 1)])
-        with pytest.raises(ValueError):
-            spectral_embedding(g, 1, normalization="rowsum")
-
     def test_normalized_operator_residual(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
@@ -180,42 +178,34 @@ class TestSpectralEmbedding:
             vecs, vals = spectral_embedding(g, 4, return_eigenvalues=True)
             from sgcn.spectral import _embedding_operator
 
-            op = _embedding_operator(g.adj, "degree").toarray()
+            op = _embedding_operator(g.adj).toarray()
             residual = op @ vecs - vecs * vals
             assert np.abs(residual).max() < 1e-8
 
-    @pytest.mark.parametrize("norm", ["degree", "none"])
-    def test_null_space_columns_are_canonical(self, norm):
-        g, fragments, lonely = fragmented_graph()
+    def test_null_space_columns_are_canonical(self):
+        g, fragments = fragmented_graph()
         degrees = np.array([sum(map(len, neighbor_sets(g, v))) for v in range(g.n)])
-        pieces = list(fragments)
-        if norm == "none":
-            pieces += [([v], np.ones(1)) for v in lonely]
-        pieces.sort(key=lambda piece: min(piece[0]))
+        pieces = sorted(fragments, key=lambda piece: min(piece[0]))
         expected = np.zeros((g.n, len(pieces)))
         for j, (nodes, colour) in enumerate(pieces):
             col = np.zeros(g.n)
             col[nodes] = colour
-            if norm == "degree":
-                col *= np.sqrt(degrees)
+            col *= np.sqrt(degrees)
             expected[:, j] = sign_fixed(col / np.linalg.norm(col))
         k = len(pieces)
-        vecs, vals = spectral_embedding(g, k + 3, normalization=norm,
-                                        return_eigenvalues=True)
+        vecs, vals = spectral_embedding(g, k + 3, return_eigenvalues=True)
         assert np.abs(vecs[:, :k] - expected).max() < 1e-12
         assert np.all(vals[:k] == 0.0) and vals[k] > 1e-3
 
-    @pytest.mark.parametrize("norm", ["degree", "none"])
-    def test_dense_and_sparse_solvers_agree(self, norm):
+    def test_dense_and_sparse_solvers_agree(self):
         # A dense eigendecomposition of the same operator is the oracle.
         # Beyond the null space an eigenvector is fixed up to sign only when
         # its eigenvalue is simple, so only those columns are compared; the
         # null columns are compared by the space they span.
-        g, _, _ = fragmented_graph()
+        g, _ = fragmented_graph()
         d = 12
-        vecs, vals = spectral_embedding(g, d, normalization=norm,
-                                        return_eigenvalues=True)
-        operator = spectral._embedding_operator(g.adj, norm).toarray()
+        vecs, vals = spectral_embedding(g, d, return_eigenvalues=True)
+        operator = spectral._embedding_operator(g.adj).toarray()
         spectrum, basis = np.linalg.eigh(operator)
         assert np.abs(vals - spectrum[:d]).max() < 1e-10
         gap = np.diff(spectrum)
@@ -236,7 +226,7 @@ class TestSpectralEmbedding:
         vecs, vals = spectral_embedding(g, g.n, return_eigenvalues=True)
         assert vecs.shape == (g.n, g.n)
         assert np.abs(vecs.T @ vecs - np.eye(g.n)).max() < 1e-10
-        operator = spectral._embedding_operator(g.adj, "degree").toarray()
+        operator = spectral._embedding_operator(g.adj).toarray()
         assert vals == pytest.approx(np.linalg.eigvalsh(operator), abs=1e-10)
         assert np.abs(operator @ vecs - vecs * vals).max() < 1e-10
 

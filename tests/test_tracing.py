@@ -107,9 +107,9 @@ def test_cli_eval_records_the_protocol_spans(tmp_path):
     dataset = tmp_path / "toy.csv"
     dataset.write_text("".join(f"{u},{v},{5 * s},0\n" for u, v, s in two_community_records()))
     flags = ["--dataset", str(dataset), "--method", "sgcn-2", "--out", str(tmp_path),
-             "--epochs", "2", "--batch-nodes", "20", "--pairs-per-class", "2",
              "--dim", "8", "--hidden-dim", "4"]
-    assert cli.main(["train", *flags]) == 0
+    assert cli.main(["train", *flags, "--epochs", "2", "--batch-nodes", "20",
+                     "--pairs-per-class", "2"]) == 0
     with installed(load_tracing()) as tracer:
         assert cli.main(["eval", *flags]) == 0
     names = [span["name"] for span in tracer.spans]

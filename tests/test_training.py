@@ -517,14 +517,6 @@ class TestFit:
         assert max(moves) <= bound
         assert max(moves) >= 0.5 * cfg.learning_rate
 
-    def test_bias_flag_freezes_bias(self):
-        g = two_cliques(5)
-        x = np.random.default_rng(5).standard_normal((g.n, 3))
-        sgcn_cfg = SgcnConfig(d_in=3, d_hidden=3, layers=1)
-        cfg = small_config(batch_nodes=g.n, epochs=3, classifier_bias=False)
-        result = fit(g, x, cfg, sgcn_cfg)
-        assert np.array_equal(result.mlg.bias, np.zeros(3))
-
     def test_history_length_and_final_embedding_shape(self):
         g = two_cliques(4)
         x = np.random.default_rng(6).standard_normal((g.n, 3))
