@@ -18,16 +18,15 @@ from pathlib import Path
 
 from . import io as artifacts
 from .balance import triangle_census
-from .evaluation import (DEFAULT_DIM, DEFAULT_FORMAT, DEFAULT_TEST_FRACTION, feature_dim,
-                         model_input, run_experiment, score_embeddings, sgcn_config_for,
-                         split_and_features)
-from .graph import load_edge_list, to_undirected
+from .evaluation import (DEFAULT_DIM, DEFAULT_FORMAT, DEFAULT_TEST_FRACTION, METHODS,
+                         MODEL_METHODS, feature_dim, model_input, run_experiment,
+                         score_embeddings, sgcn_config_for, split_and_features)
+from .graph import FORMATS, load_edge_list, to_undirected
 from .model import SgcnConfig, embed_all
 from .spectral import spectral_embedding
 from .training import TrainConfig, fit
 
 _OUT_ENV = "SGCN_OUT_DIR"
-_MODEL_METHODS = ("sgcn-1", "sgcn-1+", "sgcn-2")
 # Each training flag, the name the manifest records it under, and the
 # TrainConfig field it sets, which holds its default.
 _TRAINING_FLAGS = (
@@ -79,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", required=True, help="edge-list file to ingest")
         p.add_argument(
             "--format",
-            choices=["weighted-csv", "signed-tsv"],
+            choices=FORMATS,
             default=DEFAULT_FORMAT,
             help=f"edge-list format (default: {DEFAULT_FORMAT})",
         )
@@ -94,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def protocol(p):
         """The method, and the split and widths of the link-sign protocol."""
-        p.add_argument("--method", choices=["sse", *_MODEL_METHODS], default="sgcn-2")
+        p.add_argument("--method", choices=METHODS, default="sgcn-2")
         p.add_argument("--dim", type=int, default=DEFAULT_DIM, help="input feature width")
         p.add_argument("--hidden-dim", type=int, default=SgcnConfig.d_hidden)
         p.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
@@ -212,7 +211,7 @@ def _trained_model(args, graph):
         raise FileNotFoundError(f"no checkpoint at {checkpoint}; run the train command first")
     sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
     trained_on["method"] = next(
-        (m for m in _MODEL_METHODS
+        (m for m in MODEL_METHODS
          if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
         sgcn_cfg,
     )
@@ -251,12 +250,15 @@ def _cmd_triangles(args, emit):
 
 def _cmd_sweep(args, emit):
     train_cfg = _train_config(args)
-    lambdas = _listed(args.lambdas, float, "--lambdas")
+    # Each weight's settings are checked here, before the first run.
+    configs = [replace(train_cfg, margin_weight=lam)
+               for lam in _listed(args.lambdas, float, "--lambdas")]
     seeds = [args.seed] if args.seeds is None else _listed(args.seeds, int, "--seeds")
     graph = _ingest(args)
     cache: dict = {}
     rows = []
-    for lam in lambdas:
+    for cfg in configs:
+        lam = cfg.margin_weight
         for seed in seeds:
             report = run_experiment(
                 graph,
@@ -265,7 +267,7 @@ def _cmd_sweep(args, emit):
                 test_fraction=args.test_fraction,
                 embedding_dim=args.dim,
                 hidden_dim=args.hidden_dim,
-                train_cfg=replace(train_cfg, margin_weight=lam, seed=seed),
+                train_cfg=replace(cfg, seed=seed),
                 feature_cache=cache,
             )
             label = f"{args.method}[lambda={lam:g}]"
@@ -305,9 +307,9 @@ def _split_of(args) -> dict:
     }
 
 
-def _report_row(dataset, method, seed, report) -> dict:
+def _report_row(dataset: str, method, seed, report) -> dict:
     return {
-        "dataset": Path(dataset).stem if isinstance(dataset, (str, Path)) else "graph",
+        "dataset": Path(dataset).stem,
         "method": method,
         "seed": seed,
         "auc": report.auc,

@@ -33,6 +33,7 @@ __all__ = [
     "DegenerateDataError",
     "UndefinedMetricError",
     "METHODS",
+    "MODEL_METHODS",
     "build_pairs",
     "fit_logreg",
     "auc",
@@ -43,7 +44,10 @@ __all__ = [
     "model_input",
 ]
 
-METHODS = ("sse", "sgcn-1", "sgcn-1+", "sgcn-2")
+# The methods that train the two-track model, and every method the
+# protocol runs: those and the spectral baseline.
+MODEL_METHODS = ("sgcn-1", "sgcn-1+", "sgcn-2")
+METHODS = ("sse", *MODEL_METHODS)
 
 # The protocol's defaults, which run_experiment and the CLI share: the
 # edge-list format of the bundled data, the spectral feature width, and
@@ -88,9 +92,10 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Held-out scores: AUC, and F1 of the probe's predictions at ``_THRESHOLD``."""
+
     auc: float
     f1: float
-    threshold: float
     n_test_pos: int
     n_test_neg: int
 
@@ -203,7 +208,6 @@ def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
     return EvalReport(
         auc=auc(probs, test_pairs.labels),
         f1=f1((probs >= _THRESHOLD).astype(int), test_pairs.labels),
-        threshold=_THRESHOLD,
         n_test_pos=n_test_pos,
         n_test_neg=len(test_pairs.labels) - n_test_pos,
     )

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse
 
 __all__ = [
+    "FORMATS",
     "SignedGraph",
     "SignedEdge",
     "EdgeSplit",
@@ -29,6 +30,9 @@ __all__ = [
     "split_train_test",
     "neighbor_sets",
 ]
+
+# The edge-list formats load_edge_list parses.
+FORMATS = ("weighted-csv", "signed-tsv")
 
 
 class ParseError(ValueError):
@@ -154,11 +158,14 @@ class SignedGraph:
 
 @dataclass(frozen=True)
 class EdgeSplit:
-    """A held-out edge sample: ``train`` keeps all nodes, ``test`` the removed edges."""
+    """A held-out edge sample: ``train`` keeps all nodes, ``test`` the removed edges.
+
+    The sample is fixed by the graph, the test fraction and the seed passed
+    to :func:`split_train_test`; the caller keeps those, as checkpoints do.
+    """
 
     train: SignedGraph
     test: tuple[SignedEdge, ...]
-    seed: int
 
 
 def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
@@ -166,7 +173,7 @@ def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
 
     ``source`` may be a filesystem path, bytes, or a binary or text file
     object; a file object stays open.
-    Two formats are supported:
+    The two :data:`FORMATS` are:
 
     * ``weighted-csv`` -- comma-separated ``SOURCE,TARGET,RATING[,TIME,...]``
       lines (the Bitcoin trust-network export format). The rating's sign
@@ -175,8 +182,8 @@ def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
     * ``signed-tsv`` -- tab-separated ``u<TAB>v<TAB>sign`` with sign in
       {1, -1}; lines starting with ``#`` are skipped.
     """
-    if format not in ("weighted-csv", "signed-tsv"):
-        raise ValueError(f"unknown format {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     records: list[tuple[int, int, int]] = []
     with _as_text(source) as text:
         for line_no, raw_line in enumerate(text, start=1):
@@ -252,7 +259,7 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
     held[rng.choice(len(edges), size=n_test, replace=False)] = True
     test = tuple(SignedEdge(*e) for e in edges[held].tolist())
     train = SignedGraph.from_edges(g.n, edges[~held].tolist(), raw_ids=g.raw_ids)
-    return EdgeSplit(train=train, test=test, seed=seed)
+    return EdgeSplit(train=train, test=test)
 
 
 def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -105,12 +105,6 @@ class SgcnParams:
     def all_weights(self) -> list[np.ndarray]:
         return list(self.w_friend) + list(self.w_enemy)
 
-    def copy(self) -> "SgcnParams":
-        return SgcnParams(
-            w_friend=[w.copy() for w in self.w_friend],
-            w_enemy=[w.copy() for w in self.w_enemy],
-        )
-
 
 class LayerState(NamedTuple):
     """Hidden matrices (n x d_hidden) of both tracks at one layer.
@@ -118,11 +112,16 @@ class LayerState(NamedTuple):
     ``inputs`` holds the friend and enemy input blocks the weights acted on,
     one per table slot and ``None`` for a zero slot, which
     :func:`backward_pass` reads; it is ``None`` for the features.
+    :meth:`embedding` is the one place that lays the tracks side by side.
     """
 
     friend: np.ndarray
     enemy: np.ndarray
     inputs: tuple[tuple[np.ndarray | None, ...], tuple[np.ndarray | None, ...]] | None = None
+
+    def embedding(self) -> np.ndarray:
+        """The ``n x 2*d_hidden`` embedding ``[friend | enemy]`` of this layer."""
+        return np.hstack([self.friend, self.enemy])
 
 
 def init_params(cfg: SgcnConfig, seed: int) -> SgcnParams:
@@ -218,8 +217,8 @@ def backward_pass(
     """Gradient of an objective with respect to every weight matrix.
 
     ``states`` and ``ops`` are those :func:`forward_pass` returned and used,
-    and ``dz`` is the objective's gradient at the embedding
-    ``[friend, enemy]`` of the last layer. Reverse mode through the same
+    and ``dz`` is the objective's gradient at the last layer's
+    :meth:`LayerState.embedding`. Reverse mode through the same
     layer tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``
     (zero for a zero slot), and each block's gradient ``d_pre @ W_b`` goes
     back through the transpose of its operator to the track it was read
@@ -257,9 +256,8 @@ def backward_pass(
 
 
 def embed_all(g: SignedGraph, x: np.ndarray, params: SgcnParams, cfg: SgcnConfig) -> np.ndarray:
-    """Node embeddings: last layer's friend and enemy states, concatenated."""
-    final = forward_pass(g, x, params, cfg)[-1]
-    return np.hstack([final.friend, final.enemy])
+    """Node embeddings: the last layer's :meth:`LayerState.embedding`."""
+    return forward_pass(g, x, params, cfg)[-1].embedding()
 
 
 def _input_blocks(blocks, state: LayerState, ops) -> tuple[np.ndarray | None, ...]:

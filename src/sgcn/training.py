@@ -5,11 +5,12 @@ deciding whether a node pair is positively linked, negatively linked, or
 unlinked; a pair of hinge terms pulling positively linked nodes closer than
 unlinked ones and pushing negatively linked nodes farther than unlinked
 ones; and an L2 penalty on all weights. One pass over a batch gives the
-three values and the gradient together: the gradient is computed in closed
-form by reverse mode from the same logits and hinge slack, down to the
-embedding here and then through the layers by
-:func:`sgcn.model.backward_pass`, with the hinge subgradient taken as zero
-exactly at the kink.
+three values and the gradient together, whatever the terms' weights: the
+gradient is computed in closed form by reverse mode from the same logits
+and hinge slack, down to the embedding here and then through the layers
+by :func:`sgcn.model.backward_pass`, with the hinge subgradient taken as
+zero exactly at the kink. A zero weight is not a skipped term: it scales
+the term's value and gradient to exact zeros.
 
 Training steps with Adam (Kingma & Ba, arXiv:1412.6980). The hinge terms
 carry no margin constant, so they scale with the square of the embedding
@@ -48,7 +49,6 @@ __all__ = [
     "SamplingError",
     "DivergenceError",
     "sample_batch",
-    "loss",
     "loss_parts",
     "gradients",
     "fit",
@@ -82,7 +82,9 @@ class TrainConfig:
     ``margin_weight`` scales the two hinge terms against the classifier
     term; ``pairs_per_class`` caps how many pairs of each label one anchor
     contributes to a batch. ``learning_rate`` is Adam's step size. The pair
-    classifier's per-class bias is always trained. The training flags of
+    classifier's per-class bias is always trained. ``margin_weight``,
+    ``reg_coeff`` and ``learning_rate`` must be finite, so a bad setting is
+    refused here rather than read as divergence later. The training flags of
     ``sgcn train`` and ``sgcn sweep-lambda`` take their defaults from these
     fields.
     """
@@ -96,6 +98,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("margin_weight", "reg_coeff", "learning_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.margin_weight < 0 or self.reg_coeff < 0:
             raise ValueError("margin_weight and reg_coeff must be nonnegative")
         if self.learning_rate <= 0:
@@ -120,9 +125,6 @@ class MlgParams:
         return MlgParams(
             theta=np.zeros((3, 2 * embedding_dim)), bias=np.zeros(3)
         )
-
-    def copy(self) -> "MlgParams":
-        return MlgParams(theta=self.theta.copy(), bias=self.bias.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,22 +251,11 @@ def loss_parts(
 ) -> LossParts:
     """Evaluate the three objective components at the given embeddings.
 
-    The value-only run of the pass that :func:`_backward` makes for
-    training, so both read the same numbers. Raises ``ValueError`` on a
-    batch without pairs.
+    The parts of the same pass that :func:`_backward` makes for training,
+    so both read the same numbers; the gradient it builds is dropped.
+    Raises ``ValueError`` on a batch without pairs.
     """
-    return _objective(z, mlg, batch, params, cfg, grad=False)[0]
-
-
-def loss(
-    z: np.ndarray,
-    mlg: MlgParams,
-    batch: TrainBatch,
-    params: SgcnParams,
-    cfg: TrainConfig,
-) -> float:
-    """Total objective value; see :func:`loss_parts` for the breakdown."""
-    return loss_parts(z, mlg, batch, params, cfg).total
+    return _objective(z, mlg, batch, params, cfg)[0]
 
 
 def _pair_columns(batch: TrainBatch):
@@ -320,8 +311,10 @@ def fit(
     at most ``(1 - 0.9) / sqrt(1 - 0.999)``, about 3.2, times it (Kingma &
     Ba, section 2.1). Deterministic for a fixed ``cfg.seed``. The history
     holds each epoch's loss parts before its step, as :func:`_backward`
-    read them off the pass that gives the gradient. Raises
-    :class:`DivergenceError` if the loss stops being finite.
+    read them off the pass that gives the gradient, and the embeddings are
+    the last layer's :meth:`~sgcn.model.LayerState.embedding` after the
+    last step. Raises :class:`DivergenceError` if the loss stops being
+    finite.
     """
     params = init_params(sgcn_cfg, cfg.seed)
     mlg = MlgParams.zeros(sgcn_cfg.embedding_dim)
@@ -349,8 +342,7 @@ def fit(
             v_hat = v / (1.0 - beta2**t)
             w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     final = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)[-1]
-    z = np.hstack([final.friend, final.enemy])
-    return FitResult(params=params, mlg=mlg, embeddings=z, history=history)
+    return FitResult(params=params, mlg=mlg, embeddings=final.embedding(), history=history)
 
 
 def _backward(
@@ -368,21 +360,19 @@ def _backward(
     slack that the gradient is built from. Raises ``ValueError`` on a batch
     without pairs.
     """
-    z = np.hstack([states[-1].friend, states[-1].enemy])
-    parts, dz, grad_mlg = _objective(z, mlg, batch, params, cfg, grad=True)
+    parts, dz, grad_mlg = _objective(states[-1].embedding(), mlg, batch, params, cfg)
     grad_w = backward_pass(states, params, sgcn_cfg, dz, ops)
-    if cfg.reg_coeff:
-        for gw, w in zip(grad_w.all_weights(), params.all_weights()):
-            gw += 2.0 * cfg.reg_coeff * w
+    for gw, w in zip(grad_w.all_weights(), params.all_weights()):
+        gw += 2.0 * cfg.reg_coeff * w
     return parts, grad_w, grad_mlg
 
 
-def _objective(z, mlg, batch, params, cfg, grad):
-    """The loss parts at ``z`` and, if ``grad``, the gradient at ``z`` and ``mlg``.
+def _objective(z, mlg, batch, params, cfg):
+    """The loss parts at ``z`` and the gradient at ``z`` and ``mlg``, in one pass.
 
-    Returns ``(parts, dz, grad_mlg)``, the last two ``None`` without
-    ``grad``. The weights' L2 gradient is left to the caller, which holds
-    the weight gradients.
+    Returns ``(parts, dz, grad_mlg)``. Each term runs whatever its weight,
+    and a zero weight adds exact zeros. The weights' L2 gradient is left to
+    the caller, which holds the weight gradients.
     """
     if len(batch.pairs) == 0:
         raise ValueError("batch has no labeled pairs")
@@ -402,30 +392,25 @@ def _objective(z, mlg, batch, params, cfg, grad):
     log_prob = logits[np.arange(m), labels] - np.log(exp_sums)
     classifier = float(np.mean(omega * -log_prob))
 
-    # Hinge terms.
+    # Hinge terms; an empty triplet set is skipped, as its mean is NaN.
     margin, hinges = 0.0, []
-    if cfg.margin_weight:
-        for triplets, closer_is_linked in (
-            (batch.pos_triplets, True),
-            (batch.neg_triplets, False),
-        ):
-            if len(triplets) == 0:
-                continue
-            slack, diff_j, diff_k = _margin_slack(z, triplets, closer_is_linked)
-            margin += float(np.maximum(0.0, slack).mean())
-            hinges.append((triplets, closer_is_linked, slack, diff_j, diff_k))
-        margin *= cfg.margin_weight
+    for triplets, closer_is_linked in (
+        (batch.pos_triplets, True),
+        (batch.neg_triplets, False),
+    ):
+        if len(triplets) == 0:
+            continue
+        slack, diff_j, diff_k = _margin_slack(z, triplets, closer_is_linked)
+        margin += float(np.maximum(0.0, slack).mean())
+        hinges.append((triplets, closer_is_linked, slack, diff_j, diff_k))
+    margin *= cfg.margin_weight
 
     # L2 term.
-    reg = 0.0
-    if cfg.reg_coeff:
-        reg = cfg.reg_coeff * (
-            sum(float(np.sum(w * w)) for w in params.all_weights())
-            + float(np.sum(mlg.theta * mlg.theta))
-        )
+    reg = cfg.reg_coeff * (
+        sum(float(np.sum(w * w)) for w in params.all_weights())
+        + float(np.sum(mlg.theta * mlg.theta))
+    )
     parts = LossParts(classifier=classifier, margin=margin, regularizer=reg)
-    if not grad:
-        return parts, None, None
 
     dlogits = exp_logits / exp_sums[:, None]
     dlogits[np.arange(m), labels] -= 1.0
@@ -448,8 +433,7 @@ def _objective(z, mlg, batch, params, cfg, grad):
         np.multiply(-coef, diff_j, out=next(blocks))
         np.multiply(coef, diff_k, out=next(blocks))
     dz = _sum_rows(np.concatenate(rows), values, len(z))
-    if cfg.reg_coeff:
-        grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
+    grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
     return parts, dz, MlgParams(theta=grad_theta, bias=grad_bias)
 
 

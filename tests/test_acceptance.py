@@ -18,7 +18,7 @@ from sgcn.evaluation import auc, f1, run_experiment
 from sgcn.graph import load_edge_list, to_undirected
 from sgcn.model import SgcnConfig, embed_all, init_params
 from sgcn.spectral import signed_laplacian
-from sgcn.training import MlgParams, TrainConfig, gradients, loss, sample_batch
+from sgcn.training import MlgParams, TrainConfig, gradients, loss_parts, sample_batch
 
 from oracles import (
     central_difference,
@@ -84,7 +84,7 @@ def test_gradients_match_central_differences():
         grad_w, grad_mlg = gradients(g, x, params, mlg, batch, cfg, sgcn_cfg)
 
         def objective():
-            return loss(embed_all(g, x, params, sgcn_cfg), mlg, batch, params, cfg)
+            return loss_parts(embed_all(g, x, params, sgcn_cfg), mlg, batch, params, cfg).total
 
         pairs = list(zip(params.all_weights(), grad_w.all_weights()))
         pairs += [(mlg.theta, grad_mlg.theta), (mlg.bias, grad_mlg.bias)]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgcn import cli
 from sgcn.cli import _build_parser, _train_config, main
 from sgcn import io as artifacts
-from sgcn.evaluation import run_experiment
+from sgcn.evaluation import METHODS, run_experiment
+from sgcn.graph import FORMATS
 from sgcn.training import TrainConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -42,6 +45,13 @@ def csv_rows(path):
 
 def manifest_config(out, command):
     return json.loads((out / f"{command}_manifest.json").read_text())["config"]
+
+
+def refuse_ingest(monkeypatch):
+    def refuse(args):
+        raise AssertionError("the command ingested the dataset")
+
+    monkeypatch.setattr(cli, "_ingest", refuse)
 
 
 # The model's shape, which eval must be given as train was; eval takes no
@@ -173,6 +183,22 @@ class TestTrainEval:
         args = _build_parser().parse_args(["train", "--dataset", "toy.csv"])
         assert _train_config(args) == TrainConfig(seed=0)
 
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [("--lr", "nan", "learning_rate"), ("--lambda", "inf", "margin_weight"),
+         ("--reg", "nan", "reg_coeff")],
+    )
+    def test_train_refuses_non_finite_setting(self, dataset, tmp_path, capsys, monkeypatch,
+                                              flag, value, setting):
+        # Refused before the data is read, not reported as divergence later.
+        refuse_ingest(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", dataset, "--method", "sgcn-1", "--out", out,
+                    *FAST_TRAIN, flag, value]) == 1
+        assert f"{setting} must be finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.npz").exists()
+        assert not (out / "report.csv").exists()
+
 
 class TestTriangles:
     def test_census_csv(self, tmp_path, capsys):
@@ -222,6 +248,16 @@ class TestSweepLambda:
         assert "no trainable parameters" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_non_finite_lambda_refused_before_any_run(self, dataset, tmp_path, capsys,
+                                                      monkeypatch):
+        refuse_ingest(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-1",
+                    "--lambdas", "0,nan", "--out", out, *FAST_TRAIN]) == 1
+        assert "margin_weight must be finite" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        assert not (out / "checkpoint.npz").exists()
+
     @pytest.mark.parametrize("flag", ["--lambdas", "--seeds"])
     def test_empty_list_refused(self, dataset, tmp_path, capsys, flag):
         out = tmp_path / "out"
@@ -247,6 +283,16 @@ class TestFlags:
             run([*argv, "--dataset", dataset, "--out", out, *SHAPE])
         assert exc.value.code == 2
         assert not (out / "report.csv").exists()
+
+    def test_format_and_method_choices_are_the_protocol_names(self):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, command in subparsers.choices.items():
+            choices = {a.dest: a.choices for a in command._actions}
+            assert list(choices["format"]) == list(FORMATS), name
+            if "method" in choices:
+                assert list(choices["method"]) == list(METHODS), name
 
 
 class TestOutputDirEnv:

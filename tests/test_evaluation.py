@@ -226,7 +226,6 @@ class TestRunExperiment:
                                     feature_cache=cache)
             assert 0.0 <= report.auc <= 1.0
             assert 0.0 <= report.f1 <= 1.0
-            assert report.threshold == 0.5
             assert report.n_test_pos + report.n_test_neg == len(
                 split_train_test(g, 0.2, 0).test
             )

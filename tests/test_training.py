@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from sgcn.training import (
     _sum_rows,
     fit,
     gradients,
-    loss,
     loss_parts,
     sample_batch,
 )
@@ -208,7 +208,7 @@ class TestLoss:
             {s: 1.0 for s in batch.class_weights},
         )
         cfg = small_config(margin_weight=0.0, reg_coeff=0.0)
-        assert loss(z, mlg, uniform, params, cfg) == pytest.approx(np.log(3.0))
+        assert loss_parts(z, mlg, uniform, params, cfg).total == pytest.approx(np.log(3.0))
 
     def test_identical_embeddings_zero_margins(self):
         g, x, z, params, mlg, batch, _ = self._setup()
@@ -222,7 +222,7 @@ class TestLoss:
         cfg = small_config(margin_weight=0.0, reg_coeff=0.0)
         parts = loss_parts(z, mlg, batch, params, cfg)
         assert parts.margin == 0.0 and parts.regularizer == 0.0
-        assert loss(z, mlg, batch, params, cfg) == parts.classifier
+        assert loss_parts(z, mlg, batch, params, cfg).total == parts.classifier
 
     def test_decomposition_is_additive(self):
         g, x, z, params, mlg, batch, _ = self._setup(seed=3)
@@ -240,10 +240,10 @@ class TestLoss:
     def test_classifier_invariant_to_common_shift(self):
         g, x, z, params, mlg, batch, _ = self._setup(seed=4)
         cfg = small_config(reg_coeff=0.0)
-        before = loss(z, mlg, batch, params, cfg)
+        before = loss_parts(z, mlg, batch, params, cfg).total
         shift = np.random.default_rng(0).standard_normal(mlg.theta.shape[1])
         shifted = MlgParams(theta=mlg.theta + shift, bias=mlg.bias + 0.7)
-        after = loss(z, shifted, batch, params, cfg)
+        after = loss_parts(z, shifted, batch, params, cfg).total
         assert after == pytest.approx(before, abs=1e-10)
 
     def test_margins_invariant_to_rotation_and_translation(self):
@@ -259,7 +259,7 @@ class TestLoss:
         g, x, z, params, mlg, batch, _ = self._setup()
         empty = TrainBatch(NO_ROWS, NO_ROWS, NO_ROWS, {})
         with pytest.raises(ValueError):
-            loss(z, mlg, empty, params, small_config())
+            loss_parts(z, mlg, empty, params, small_config()).total
 
 
 class TestGradients:
@@ -318,9 +318,11 @@ class TestGradients:
         assert other_rows[0] == pytest.approx(omega * features / 3.0)
 
     def test_matches_central_differences(self):
+        # Zero weights run the hinge and L2 code too, scaled to exact zeros.
         failures = 0
         depths = set()
-        for trial in range(25):
+        settings = [dict(margin_weight=2.0, reg_coeff=1e-3), dict(margin_weight=0.0, reg_coeff=0.0)]
+        for trial, weights in itertools.product(range(25), settings):
             rng = np.random.default_rng(500 + trial)
             n = int(rng.integers(6, 11))
             g = random_signed_graph(rng, n, edge_prob=0.5, neg_frac=0.35)
@@ -339,9 +341,7 @@ class TestGradients:
                 theta=rng.standard_normal((3, 4 * 3)) * 0.3,
                 bias=rng.standard_normal(3) * 0.1,
             )
-            cfg = small_config(
-                batch_nodes=n, margin_weight=2.0, reg_coeff=1e-3, seed=trial
-            )
+            cfg = small_config(batch_nodes=n, seed=trial, **weights)
             try:
                 batch = sample_batch(g, cfg, epoch=0)
             except SamplingError:
@@ -350,7 +350,7 @@ class TestGradients:
 
             def objective():
                 z = embed_all(g, x, params, sgcn_cfg)
-                return loss(z, mlg, batch, params, cfg)
+                return loss_parts(z, mlg, batch, params, cfg).total
 
             checks = [
                 (params.w_friend[i], grad_w.w_friend[i]) for i in range(layers)
@@ -414,7 +414,6 @@ class TestFit:
             raise AssertionError("fit evaluated the objective a second time")
 
         monkeypatch.setattr(training, "loss_parts", refuse)
-        monkeypatch.setattr(training, "loss", refuse)
         g = two_cliques(4)
         x = np.random.default_rng(11).standard_normal((g.n, 3))
         result = fit(g, x, small_config(batch_nodes=g.n, epochs=3), SgcnConfig(d_in=3, d_hidden=2))
@@ -435,6 +434,13 @@ class TestFit:
             assert trained == pytest.approx(orig, abs=1e-9)
         with pytest.raises(ValueError):
             small_config(learning_rate=0.0)
+
+    @pytest.mark.parametrize("setting", ["margin_weight", "reg_coeff", "learning_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_settings_refused(self, setting, value):
+        # Refused here rather than reported as divergence after an epoch.
+        with pytest.raises(ValueError, match=f"{setting} must be finite"):
+            small_config(**{setting: value})
 
     def test_first_epoch_identical_across_run_lengths(self):
         g = two_cliques(5)
@@ -468,7 +474,7 @@ class TestFit:
                                reg_coeff=1e-4)
             batch = sample_batch(g, cfg, epoch=0)
             z = embed_all(g, x, params, sgcn_cfg)
-            before = loss(z, mlg, batch, params, cfg)
+            before = loss_parts(z, mlg, batch, params, cfg).total
             grad_w, grad_mlg = gradients(g, x, params, mlg, batch, cfg, sgcn_cfg)
             lr = 1e-4
             for w, gw in zip(params.w_friend, grad_w.w_friend):
@@ -480,7 +486,7 @@ class TestFit:
                 bias=mlg.bias - lr * grad_mlg.bias,
             )
             z2 = embed_all(g, x, params, sgcn_cfg)
-            after = loss(z2, stepped, batch, params, cfg)
+            after = loss_parts(z2, stepped, batch, params, cfg).total
             assert after <= before + 1e-8
 
     @pytest.mark.filterwarnings("ignore:overflow")
