@@ -15,18 +15,18 @@ repository root:
 import time
 from pathlib import Path
 
-from sgcn import TrainConfig, run_experiment
+from sgcn import TrainConfig, load_edge_list, run_experiment, to_undirected
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def main():
-    dataset = DATA / "bitcoin_alpha.csv"
+    graph = to_undirected(load_edge_list(DATA / "bitcoin_alpha.csv", "weighted-csv"))
     cache = {}
     print(f"{'method':10s} {'auc':>7s} {'f1':>7s} {'seconds':>8s}")
     for method in ("sse", "sgcn-1", "sgcn-1+", "sgcn-2"):
         started = time.time()
-        report = run_experiment(dataset, method, seed=0, feature_cache=cache)
+        report = run_experiment(graph, method, seed=0, feature_cache=cache)
         print(f"{method:10s} {report.auc:7.4f} {report.f1:7.4f} "
               f"{time.time() - started:8.1f}")
 
@@ -34,7 +34,7 @@ def main():
     print("Margin-term sweep (sgcn-2, seed 0):")
     for lam in (0.0, 1.0, 5.0, 10.0):
         report = run_experiment(
-            dataset, "sgcn-2", seed=0,
+            graph, "sgcn-2", seed=0,
             train_cfg=TrainConfig(seed=0, margin_weight=lam),
             feature_cache=cache,
         )

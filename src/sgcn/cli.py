@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import io as artifacts
 from .balance import triangle_census
-from .evaluation import (DEFAULT_DIM, DEFAULT_FORMAT, DEFAULT_TEST_FRACTION, METHODS,
-                         MODEL_METHODS, feature_dim, model_input, run_experiment,
-                         score_embeddings, sgcn_config_for, split_and_features)
+from .evaluation import (DEFAULT_DIM, DEFAULT_TEST_FRACTION, METHODS, MODEL_METHODS,
+                         feature_dim, model_input, run_experiment, score_embeddings,
+                         sgcn_config_for, split_and_features)
 from .graph import FORMATS, load_edge_list, to_undirected
 from .model import SgcnConfig, embed_all
 from .spectral import spectral_embedding
@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             choices=FORMATS,
-            default=DEFAULT_FORMAT,
-            help=f"edge-list format (default: {DEFAULT_FORMAT})",
+            default="weighted-csv",
+            help="edge-list format (default: %(default)s)",
         )
         p.add_argument(
             "--out",
@@ -236,11 +236,7 @@ def _trained_model(args, graph):
 def _cmd_triangles(args, emit):
     graph = _ingest(args)
     census = triangle_census(graph)
-    path = emit("triangles.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("type,count\n")
-        for name, count in census._asdict().items():
-            fh.write(f"{name},{count}\n")
+    artifacts.write_census(emit("triangles.csv"), census)
     _manifest(args, emit, "triangles", ["triangles.csv"])
     print(
         f"balanced={census.balanced} unbalanced={census.unbalanced} "

@@ -5,23 +5,20 @@ concatenated endpoint embeddings, fit on the training edges only. Quality
 is summarized by AUC (probability a random positive test edge outranks a
 random negative one, ties counted half) and by F1 of the positive-link
 class at a fixed 0.5 threshold. :func:`run_experiment` wires the whole
-protocol together: ingest, split, embed from the train side only, fit,
-score. The CLI's ``train`` and ``eval`` run the same steps through its helpers.
+protocol together on a graph the caller has built, typically with
+``to_undirected(load_edge_list(path, format))``: split, embed from the train
+side only, fit, score. The CLI's ``train`` and ``eval`` run the same steps
+through its helpers.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    EdgeSplit,
-    SignedGraph,
-    load_edge_list,
-    split_train_test,
-    to_undirected,
-)
+from .graph import EdgeSplit, SignedGraph, split_train_test
 from .model import SgcnConfig
 from .spectral import spectral_embedding
 from .training import TrainConfig, fit
@@ -50,9 +47,8 @@ MODEL_METHODS = ("sgcn-1", "sgcn-1+", "sgcn-2")
 METHODS = ("sse", *MODEL_METHODS)
 
 # The protocol's defaults, which run_experiment and the CLI share: the
-# edge-list format of the bundled data, the spectral feature width, and
-# the held-out share of the edges, 20% as in Derr et al. (section V).
-DEFAULT_FORMAT = "weighted-csv"
+# spectral feature width, and the held-out share of the edges, 20% as in
+# Derr et al. (section V).
 DEFAULT_DIM = 64
 DEFAULT_TEST_FRACTION = 0.2
 
@@ -60,6 +56,13 @@ DEFAULT_TEST_FRACTION = 0.2
 _THRESHOLD = 0.5
 # The probe's L2 penalty and its cap on Newton steps, see fit_logreg.
 _L2, _MAX_ITER = 1.0, 500
+
+# glibc's malloc_trim, which hands freed heap pages back to the OS; None on
+# a C library without it.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 class DegenerateDataError(ValueError):
@@ -214,35 +217,28 @@ def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
 
 
 def run_experiment(
-    source,
+    graph: SignedGraph,
     method: str,
     seed: int,
     *,
-    format: str = DEFAULT_FORMAT,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     embedding_dim: int = DEFAULT_DIM,
     hidden_dim: int = SgcnConfig.d_hidden,
     train_cfg: TrainConfig | None = None,
     feature_cache: dict | None = None,
 ) -> EvalReport:
-    """One full link-sign prediction run, leak-free by construction.
+    """One full link-sign prediction run on ``graph``, leak-free by construction.
 
-    ``source`` is an edge-list path (parsed per ``format``) or an
-    already-built :class:`SignedGraph`. The held-out test edges never touch
-    feature construction, embedding training, or the classifier; the split
-    and every downstream stage are deterministic in ``seed``. ``method`` is
-    one of ``sse``, ``sgcn-1``, ``sgcn-1+``, ``sgcn-2``.
+    The held-out test edges never touch feature construction, embedding
+    training, or the classifier; the split and every downstream stage are
+    deterministic in ``seed``. ``method`` is one of ``sse``, ``sgcn-1``,
+    ``sgcn-1+``, ``sgcn-2``.
 
     ``feature_cache`` is passed to :func:`split_and_features`; it spares
     several methods sharing a seed the recomputation of the features.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if isinstance(source, SignedGraph):
-        graph = source
-    else:
-        graph = to_undirected(load_edge_list(source, format))
-
     split, x = split_and_features(graph, test_fraction, seed, embedding_dim, feature_cache)
     if method == "sse":
         z = x
@@ -250,6 +246,12 @@ def run_experiment(
         sgcn_cfg = sgcn_config_for(method, d_in=x.shape[1], d_hidden=hidden_dim)
         cfg = train_cfg if train_cfg is not None else TrainConfig(seed=seed)
         z = fit(split.train, model_input(x), cfg, sgcn_cfg).embeddings
+        # Training leaves tens of MB of freed scratch arrays on the C heap.
+        # Unreturned, the probe's arrays would reuse that space or not,
+        # depending on how it fragmented, and the peak memory of identical
+        # runs on bitcoin-alpha would differ by up to 12 MB.
+        if _malloc_trim is not None:
+            _malloc_trim(0)
     return score_embeddings(z, split)
 
 

@@ -10,10 +10,9 @@ directed rating streams; they are folded into this undirected form by
 
 from __future__ import annotations
 
-import io
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -44,7 +43,7 @@ class ParseError(ValueError):
 
 
 class InvalidRatingError(ParseError):
-    """A rating of zero, which has no sign."""
+    """A rating of zero or a non-finite one, which has no sign."""
 
 
 class SignedEdge(NamedTuple):
@@ -61,8 +60,9 @@ class SignedGraph:
     sorted, unique column indices in each row, entry ``+1.0`` or ``-1.0``
     per positive or negative edge, and an empty diagonal. Its arrays are
     read-only. ``raw_ids``, when present, maps each internal node id back to
-    the id used in the source data. Two graphs are equal when they have the
-    same nodes and signed edges, whatever their ``raw_ids``.
+    the id used in the source data, one distinct id per node. Two graphs are
+    equal when they have the same nodes and signed edges, whatever their
+    ``raw_ids``.
     """
 
     adj: scipy.sparse.csr_matrix
@@ -71,20 +71,22 @@ class SignedGraph:
     def __post_init__(self):
         for arr in (self.adj.data, self.adj.indices, self.adj.indptr):
             arr.flags.writeable = False
+        if self.raw_ids is not None and not len(self.raw_ids) == len(set(self.raw_ids)) == self.n:
+            raise ValueError(f"raw_ids must hold {self.n} distinct ids, one per node")
 
     @staticmethod
     def from_edges(
         n: int,
-        edges: Iterable[tuple[int, int, int]],
+        edges: np.ndarray | list[tuple[int, int, int]],
         raw_ids: tuple[int, ...] | None = None,
     ) -> "SignedGraph":
         """Build a graph from undirected ``(u, v, sign)`` triples.
 
-        Each unordered pair may appear once. Self-loops, repeated pairs, and
-        signs outside {+1, -1} are rejected; the error names the first
-        offending triple.
+        ``edges`` is an ``(E, 3)`` array or a list of triples. Each unordered
+        pair may appear once. Self-loops, repeated pairs, and signs outside
+        {+1, -1} are rejected; the error names the first offending triple.
         """
-        triples = np.asarray(list(edges)).reshape(-1, 3)
+        triples = np.asarray(edges).reshape(-1, 3)
         u, v, sign = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
         repeated = np.ones(len(triples), dtype=bool)
         repeated[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = False
@@ -113,7 +115,7 @@ class SignedGraph:
         # adj must be what from_edges builds from its entries on and above the diagonal.
         rows = np.repeat(np.arange(self.n), np.diff(self.adj.indptr))
         entries = np.column_stack([rows, self.adj.indices, self.adj.data])
-        rebuilt = SignedGraph.from_edges(self.n, entries[rows <= self.adj.indices].tolist()).adj
+        rebuilt = SignedGraph.from_edges(self.n, entries[rows <= self.adj.indices]).adj
         same = [np.array_equal(getattr(self.adj, k), getattr(rebuilt, k))
                 for k in ("indptr", "indices", "data")]
         if self.adj.format != "csr" or self.adj.shape != rebuilt.shape or not all(same):
@@ -168,24 +170,22 @@ class EdgeSplit:
     test: tuple[SignedEdge, ...]
 
 
-def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
-    """Parse a directed signed edge stream into ``(u, v, sign)`` records.
+def load_edge_list(path, format: str) -> list[tuple[int, int, int]]:
+    """Parse the directed signed edge-list file at ``path`` into ``(u, v, sign)`` records.
 
-    ``source`` may be a filesystem path, bytes, or a binary or text file
-    object; a file object stays open.
-    The two :data:`FORMATS` are:
+    The file is read as UTF-8 text. The two :data:`FORMATS` are:
 
     * ``weighted-csv`` -- comma-separated ``SOURCE,TARGET,RATING[,TIME,...]``
       lines (the Bitcoin trust-network export format). The rating's sign
-      becomes the record sign; a zero rating is rejected because it carries
-      no sign. Any columns after the rating are ignored.
+      becomes the record sign; a zero, infinite or NaN rating is rejected
+      because it carries no sign. Any columns after the rating are ignored.
     * ``signed-tsv`` -- tab-separated ``u<TAB>v<TAB>sign`` with sign in
       {1, -1}; lines starting with ``#`` are skipped.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     records: list[tuple[int, int, int]] = []
-    with _as_text(source) as text:
+    with open(path, "r", encoding="utf-8") as text:
         for line_no, raw_line in enumerate(text, start=1):
             line = raw_line.strip()
             if not line:
@@ -212,8 +212,8 @@ def load_edge_list(source, format: str) -> list[tuple[int, int, int]]:
                     rating = float(parts[2])
                 except ValueError:
                     raise ParseError(line_no, f"non-numeric field in {line!r}") from None
-                if rating == 0:
-                    raise InvalidRatingError(line_no, "rating 0 has no sign")
+                if rating == 0 or not math.isfinite(rating):
+                    raise InvalidRatingError(line_no, f"rating {parts[2].strip()} has no sign")
                 sign = 1 if rating > 0 else -1
             records.append((u, v, sign))
     return records
@@ -258,7 +258,7 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
     held = np.zeros(len(edges), dtype=bool)
     held[rng.choice(len(edges), size=n_test, replace=False)] = True
     test = tuple(SignedEdge(*e) for e in edges[held].tolist())
-    train = SignedGraph.from_edges(g.n, edges[~held].tolist(), raw_ids=g.raw_ids)
+    train = SignedGraph.from_edges(g.n, edges[~held], raw_ids=g.raw_ids)
     return EdgeSplit(train=train, test=test)
 
 
@@ -270,22 +270,3 @@ def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, .
     nbrs, signs = g.adj.indices[row], g.adj.data[row]
     return tuple(nbrs[signs > 0].tolist()), tuple(nbrs[signs < 0].tolist())
 
-
-@contextmanager
-def _as_text(source):
-    """Read ``source`` as a text stream; a caller's stream is left open."""
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as text:
-            yield text
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    elif hasattr(source, "read"):
-        text = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield text
-        finally:
-            text.detach()  # closing the wrapper would close the binary stream
-    else:
-        raise TypeError(f"cannot read edge list from {type(source).__name__}")

@@ -1,4 +1,5 @@
-"""Artifact files: cached graphs, embeddings, checkpoints, reports, manifests.
+"""Artifact files: cached graphs, embeddings, checkpoints, reports, the
+triangle census, manifests. Every CSV artifact goes through one writer.
 
 Everything written here is byte-deterministic for identical inputs (fixed
 zip timestamps, sorted keys), so artifact hashes double as reproducibility
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .balance import TriangleCensus
 from .graph import SignedGraph
 from .model import SgcnConfig, SgcnParams
 from .training import LossParts, MlgParams, TrainConfig
@@ -34,6 +36,7 @@ __all__ = [
     "write_loss_history",
     "write_report_rows",
     "write_aggregate_report",
+    "write_census",
     "git_blob_sha1",
     "write_manifest",
 ]
@@ -59,36 +62,27 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 def save_graph(path, g: SignedGraph) -> None:
     edges = g.edge_array()
     pos, neg = edges[edges[:, 2] > 0, :2], edges[edges[:, 2] < 0, :2]
-    raw = np.asarray(g.raw_ids if g.raw_ids is not None else range(g.n), dtype=np.int64)
+    raw = np.asarray(_raw_ids(g), dtype=np.int64)
     save_arrays(path, n=np.int64(g.n), pos_edges=pos, neg_edges=neg, raw_ids=raw)
 
 
 def load_graph(path) -> SignedGraph:
     data = load_arrays(path)
-    n = int(data["n"])
-    edges = [(int(u), int(v), 1) for u, v in data["pos_edges"]]
-    edges += [(int(u), int(v), -1) for u, v in data["neg_edges"]]
-    return SignedGraph.from_edges(n, edges, raw_ids=tuple(int(r) for r in data["raw_ids"]))
+    edges = np.concatenate([np.insert(data["pos_edges"], 2, 1, axis=1),
+                            np.insert(data["neg_edges"], 2, -1, axis=1)])
+    return SignedGraph.from_edges(int(data["n"]), edges, raw_ids=tuple(data["raw_ids"].tolist()))
 
 
 def write_id_map(path, g: SignedGraph) -> None:
     """CSV mapping internal node ids back to the raw ids in the source data."""
-    raw = g.raw_ids if g.raw_ids is not None else tuple(range(g.n))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["internal_id", "raw_id"])
-        for i, r in enumerate(raw):
-            writer.writerow([i, r])
+    _write_csv(path, ["internal_id", "raw_id"], enumerate(_raw_ids(g)))
 
 
 def write_embedding_csv(path, z: np.ndarray, g: SignedGraph) -> None:
     """Embedding rows keyed by raw node id, one column per dimension."""
-    raw = g.raw_ids if g.raw_ids is not None else tuple(range(g.n))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["raw_node_id"] + [f"z_{k + 1}" for k in range(z.shape[1])])
-        for i in range(z.shape[0]):
-            writer.writerow([raw[i]] + [repr(float(v)) for v in z[i]])
+    header = ["raw_node_id"] + [f"z_{k + 1}" for k in range(z.shape[1])]
+    rows = ([r, *map(repr, row.tolist())] for r, row in zip(_raw_ids(g), z, strict=True))
+    _write_csv(path, header, rows)
 
 
 def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -147,29 +141,18 @@ def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParam
 
 
 def write_loss_history(path, history: list[LossParts]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "mlg_part", "margin_part", "reg_part"])
-        for epoch, parts in enumerate(history):
-            writer.writerow(
-                [
-                    epoch,
-                    repr(parts.total),
-                    repr(parts.classifier),
-                    repr(parts.margin),
-                    repr(parts.regularizer),
-                ]
-            )
+    header = ["epoch", "mean_loss", "mlg_part", "margin_part", "reg_part"]
+    rows = (
+        [epoch, *map(repr, (parts.total, parts.classifier, parts.margin, parts.regularizer))]
+        for epoch, parts in enumerate(history)
+    )
+    _write_csv(path, header, rows)
 
 
 def write_report_rows(path, rows: list[dict]) -> None:
     """Per-run report CSV: dataset, method, seed, metrics, test counts."""
     fields = ["dataset", "method", "seed", "auc", "f1", "n_test_pos", "n_test_neg"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fields})
+    _write_csv(path, fields, ([row[k] for k in fields] for row in rows))
 
 
 def write_aggregate_report(path, rows: list[dict]) -> None:
@@ -177,25 +160,19 @@ def write_aggregate_report(path, rows: list[dict]) -> None:
     groups: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         groups.setdefault((row["dataset"], row["method"]), []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["dataset", "method", "n_seeds", "mean_auc", "std_auc", "mean_f1", "std_f1"]
-        )
-        for (dataset, method), members in sorted(groups.items()):
-            aucs = np.array([m["auc"] for m in members], dtype=np.float64)
-            f1s = np.array([m["f1"] for m in members], dtype=np.float64)
-            writer.writerow(
-                [
-                    dataset,
-                    method,
-                    len(members),
-                    repr(float(aucs.mean())),
-                    repr(float(aucs.std())),
-                    repr(float(f1s.mean())),
-                    repr(float(f1s.std())),
-                ]
-            )
+    header = ["dataset", "method", "n_seeds", "mean_auc", "std_auc", "mean_f1", "std_f1"]
+    rows = []
+    for (dataset, method), members in sorted(groups.items()):
+        aucs = np.array([m["auc"] for m in members], dtype=np.float64)
+        f1s = np.array([m["f1"] for m in members], dtype=np.float64)
+        stats = (aucs.mean(), aucs.std(), f1s.mean(), f1s.std())
+        rows.append([dataset, method, len(members), *(repr(float(s)) for s in stats)])
+    _write_csv(path, header, rows)
+
+
+def write_census(path, census: TriangleCensus) -> None:
+    """Triangle counts, one row per balance type."""
+    _write_csv(path, ["type", "count"], census._asdict().items())
 
 
 def git_blob_sha1(path) -> str:
@@ -215,6 +192,19 @@ def write_manifest(path, command: str, config: dict, inputs: list, outputs: list
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _raw_ids(g: SignedGraph):
+    """The id each node has in the source data; a graph without ``raw_ids`` keeps ``0..n-1``."""
+    return g.raw_ids if g.raw_ids is not None else range(g.n)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """One CSV artifact: the header, then each row, every line ending in ``\\r\\n``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _json_array(obj) -> np.ndarray:

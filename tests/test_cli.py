@@ -10,7 +10,7 @@ from sgcn import cli
 from sgcn.cli import _build_parser, _train_config, main
 from sgcn import io as artifacts
 from sgcn.evaluation import METHODS, run_experiment
-from sgcn.graph import FORMATS
+from sgcn.graph import FORMATS, load_edge_list, to_undirected
 from sgcn.training import TrainConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -334,7 +334,8 @@ class TestBundledDatasets:
             assert run(["train", *flags, "--epochs", "5"]) == 0
         assert run(["eval", *flags]) == 0
         (row,) = csv_rows(tmp_path / "report.csv")
-        report = run_experiment(dataset, method, 3, embedding_dim=16, hidden_dim=8,
+        graph = to_undirected(load_edge_list(dataset, "weighted-csv"))
+        report = run_experiment(graph, method, 3, embedding_dim=16, hidden_dim=8,
                                 train_cfg=TrainConfig(epochs=5, seed=3))
         assert (row["auc"], row["f1"]) == (repr(report.auc), repr(report.f1))
         assert (int(row["n_test_pos"]), int(row["n_test_neg"])) == (

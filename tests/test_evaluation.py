@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sgcn import evaluation
 from sgcn.evaluation import (
     DegenerateDataError,
     PairDataset,
@@ -13,7 +14,8 @@ from sgcn.evaluation import (
     fit_logreg,
     run_experiment,
 )
-from sgcn.graph import SignedEdge, SignedGraph, neighbor_sets, split_train_test, to_undirected
+from sgcn.graph import (SignedEdge, SignedGraph, load_edge_list, neighbor_sets, split_train_test,
+                        to_undirected)
 from sgcn.spectral import spectral_embedding
 from sgcn.training import TrainConfig
 
@@ -234,6 +236,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(benchmark_graph(), "gcn", seed=0)
 
+    def test_training_memory_returned_before_scoring(self, monkeypatch):
+        calls = []
+        score = evaluation.score_embeddings
+        monkeypatch.setattr(evaluation, "_malloc_trim", lambda pad: calls.append(("trim", pad)))
+        monkeypatch.setattr(evaluation, "score_embeddings",
+                            lambda z, split: calls.append("score") or score(z, split))
+        cfg = TrainConfig(epochs=2, batch_nodes=20, pairs_per_class=2, seed=9)
+        for method in ("sse", "sgcn-1"):
+            run_experiment(benchmark_graph(), method, seed=0, embedding_dim=8,
+                           hidden_dim=4, train_cfg=cfg)
+        assert calls == ["score", ("trim", 0), "score"]
+
     def test_feature_cache_reused(self):
         g = benchmark_graph()
         cache = {}
@@ -266,8 +280,9 @@ class TestRunExperiment:
         lines += [f"{u}\t{v}\t{s}" for u, v, s in g.edges()]
         path.write_text("\n".join(lines) + "\n")
         cfg = TrainConfig(epochs=4, batch_nodes=20, pairs_per_class=2, seed=0)
-        report = run_experiment(path, "sgcn-2", seed=0, format="signed-tsv",
-                                embedding_dim=8, hidden_dim=4, train_cfg=cfg)
+        graph = to_undirected(load_edge_list(path, "signed-tsv"))
+        report = run_experiment(graph, "sgcn-2", seed=0, embedding_dim=8, hidden_dim=4,
+                                train_cfg=cfg)
         assert 0.0 <= report.auc <= 1.0
         assert report.n_test_pos + report.n_test_neg > 0
 

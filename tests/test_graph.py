@@ -1,5 +1,4 @@
 import hashlib
-import io
 from pathlib import Path
 
 import numpy as np
@@ -27,57 +26,58 @@ def csr(n, data, indices, indptr):
                                    shape=(n, n))
 
 
+def parse(tmp_path, data: bytes, format="weighted-csv"):
+    """``load_edge_list`` on a file holding ``data``."""
+    path = tmp_path / "edges"
+    path.write_bytes(data)
+    return load_edge_list(path, format)
+
+
 class TestLoadEdgeList:
-    def test_weighted_csv_positive_rating(self):
-        records = load_edge_list(b"7,1,10,1416000000.0\n", "weighted-csv")
+    def test_weighted_csv_positive_rating(self, tmp_path):
+        records = parse(tmp_path, b"7,1,10,1416000000.0\n")
         assert records == [(7, 1, 1)]
 
-    def test_weighted_csv_negative_rating(self):
-        records = load_edge_list(b"3,4,-2,1416000000.0\n", "weighted-csv")
+    def test_weighted_csv_negative_rating(self, tmp_path):
+        records = parse(tmp_path, b"3,4,-2,1416000000.0\n")
         assert records == [(3, 4, -1)]
 
-    def test_weighted_csv_zero_rating_rejected(self):
+    def test_weighted_csv_zero_rating_rejected(self, tmp_path):
         with pytest.raises(InvalidRatingError) as exc:
-            load_edge_list(b"3,4,0,1416000000.0\n", "weighted-csv")
+            parse(tmp_path, b"3,4,0,1416000000.0\n")
         assert exc.value.line_no == 1
 
-    def test_weighted_csv_without_time_column(self):
-        assert load_edge_list(b"5,6,3\n", "weighted-csv") == [(5, 6, 1)]
-
-    def test_malformed_line_names_line_number(self):
-        data = b"1,2,5,0\n1,2\n"
-        with pytest.raises(ParseError) as exc:
-            load_edge_list(data, "weighted-csv")
+    @pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+    def test_weighted_csv_non_finite_rating_rejected(self, tmp_path, rating):
+        with pytest.raises(InvalidRatingError, match=rating) as exc:
+            parse(tmp_path, f"1,2,3,0\n2,3,{rating},0\n".encode())
         assert exc.value.line_no == 2
 
-    def test_signed_tsv_with_comments(self):
+    def test_weighted_csv_without_time_column(self, tmp_path):
+        assert parse(tmp_path, b"5,6,3\n") == [(5, 6, 1)]
+
+    def test_malformed_line_names_line_number(self, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            parse(tmp_path, b"1,2,5,0\n1,2\n")
+        assert exc.value.line_no == 2
+
+    def test_signed_tsv_with_comments(self, tmp_path):
         data = b"# a comment\n1\t2\t1\n2\t3\t-1\n"
-        assert load_edge_list(data, "signed-tsv") == [(1, 2, 1), (2, 3, -1)]
+        assert parse(tmp_path, data, "signed-tsv") == [(1, 2, 1), (2, 3, -1)]
 
-    def test_signed_tsv_bad_sign(self):
+    def test_signed_tsv_bad_sign(self, tmp_path):
         with pytest.raises(ParseError):
-            load_edge_list(b"1\t2\t4\n", "signed-tsv")
+            parse(tmp_path, b"1\t2\t4\n", "signed-tsv")
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            load_edge_list(b"", "json")
+            parse(tmp_path, b"", "json")
 
-    def test_accepts_path_and_stream(self, tmp_path):
+    def test_accepts_str_and_path(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("1,2,5,0\n")
         assert load_edge_list(p, "weighted-csv") == [(1, 2, 1)]
-        with open(p, "rb") as fh:
-            assert load_edge_list(fh, "weighted-csv") == [(1, 2, 1)]
-
-    @pytest.mark.parametrize(
-        "stream_type, data",
-        [(io.StringIO, "1,2,5,0\n"), (io.BytesIO, b"1,2,5,0\n")],
-        ids=["text", "binary"],
-    )
-    def test_leaves_caller_stream_open(self, stream_type, data):
-        stream = stream_type(data)
-        assert load_edge_list(stream, "weighted-csv") == [(1, 2, 1)]
-        assert not stream.closed
+        assert load_edge_list(str(p), "weighted-csv") == [(1, 2, 1)]
 
 
 class TestToUndirected:
@@ -137,6 +137,12 @@ class TestSignedGraph:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             SignedGraph.from_edges(2, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("raw_ids", [(5, 6), (5, 6, 7, 8), (5, 5, 6)],
+                             ids=["short", "long", "repeated"])
+    def test_rejects_raw_ids_not_one_distinct_per_node(self, raw_ids):
+        with pytest.raises(ValueError, match="raw_ids"):
+            SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)], raw_ids=raw_ids)
 
     def test_validate_catches_asymmetry(self):
         g = SignedGraph(adj=csr(2, data=[1.0], indices=[1], indptr=[0, 1, 1]))

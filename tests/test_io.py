@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sgcn import io as artifacts
+from sgcn.cli import main
 from sgcn.graph import SignedGraph
 from sgcn.model import SgcnConfig, init_params
 from sgcn.training import LossParts, MlgParams, TrainConfig
@@ -114,6 +115,46 @@ def test_report_and_aggregate(tmp_path):
     line = agg.read_text().splitlines()[1].split(",")
     assert line[:3] == ["d", "sse", "3"]
     assert float(line[3]) == pytest.approx(0.71)
+
+
+def _triangles_via_cli(path):
+    data = path.parent / "edges.csv"
+    data.write_text("1,2,1\n2,3,1\n1,3,-1\n")
+    assert main(["triangles", "--dataset", str(data), "--out", str(path.parent)]) == 0
+
+
+_PAIR = SignedGraph.from_edges(2, [(0, 1, 1)], raw_ids=(10, 42))
+_ROW = dict(dataset="toy", method="sgcn-2", seed=3, auc=0.75, f1=0.5, n_test_pos=4, n_test_neg=2)
+# Each CSV artifact's writer, and the exact bytes of its header and first row.
+_CSV_ARTIFACTS = {
+    "id_map": (lambda p: artifacts.write_id_map(p, _PAIR), b"internal_id,raw_id\r\n0,10\r\n"),
+    "embeddings": (
+        lambda p: artifacts.write_embedding_csv(p, np.array([[0.5, -1.25], [2.0, 0.0]]), _PAIR),
+        b"raw_node_id,z_1,z_2\r\n10,0.5,-1.25\r\n",
+    ),
+    "loss_history": (
+        lambda p: artifacts.write_loss_history(p, [LossParts(1.0, 0.25, 0.125)]),
+        b"epoch,mean_loss,mlg_part,margin_part,reg_part\r\n0,1.375,1.0,0.25,0.125\r\n",
+    ),
+    "report": (
+        lambda p: artifacts.write_report_rows(p, [_ROW]),
+        b"dataset,method,seed,auc,f1,n_test_pos,n_test_neg\r\ntoy,sgcn-2,3,0.75,0.5,4,2\r\n",
+    ),
+    "aggregate": (
+        lambda p: artifacts.write_aggregate_report(p, [_ROW, {**_ROW, "seed": 4, "auc": 0.25}]),
+        b"dataset,method,n_seeds,mean_auc,std_auc,mean_f1,std_f1\r\n"
+        b"toy,sgcn-2,2,0.5,0.25,0.5,0.0\r\n",
+    ),
+    "triangles": (_triangles_via_cli, b"type,count\r\nall_positive,0\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", _CSV_ARTIFACTS)
+def test_csv_artifact_header_and_first_row_bytes(tmp_path, name):
+    write, expected = _CSV_ARTIFACTS[name]
+    path = tmp_path / f"{name}.csv"
+    write(path)
+    assert b"".join(path.read_bytes().splitlines(keepends=True)[:2]) == expected
 
 
 def test_git_blob_sha1_matches_git_object_format(tmp_path):
