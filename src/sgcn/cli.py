@@ -21,8 +21,8 @@ from .balance import triangle_census
 from .evaluation import (DEFAULT_DIM, DEFAULT_TEST_FRACTION, METHODS, MODEL_METHODS,
                          feature_dim, model_input, run_experiment, score_embeddings,
                          sgcn_config_for, split_and_features)
-from .graph import FORMATS, load_edge_list, to_undirected
-from .model import SgcnConfig, embed_all
+from .graph import FORMATS, load_edge_list, split_train_test, to_undirected
+from .model import SgcnConfig
 from .spectral import spectral_embedding
 from .training import TrainConfig, fit
 
@@ -176,6 +176,7 @@ def _cmd_train(args, emit):
         train_cfg,
         result.params,
         result.mlg,
+        result.embeddings,
         _split_of(args),
     )
     artifacts.write_loss_history(emit("loss_history.csv"), result.history)
@@ -192,11 +193,12 @@ def _cmd_train(args, emit):
 
 def _cmd_eval(args, emit):
     graph = _ingest(args)
-    model = None if args.method == "sse" else _trained_model(args, graph)
-    split, z = split_and_features(graph, args.test_fraction, args.seed, args.dim)
-    if model is not None:
-        z = model_input(z)  # rebinding frees the unscaled features before the forward pass
-        z = embed_all(split.train, z, *model)
+    if args.method == "sse":
+        split, z = split_and_features(graph, args.test_fraction, args.seed, args.dim)
+    else:
+        # train fit these embeddings on this same split, so nothing is recomputed.
+        z = _trained_embeddings(args, graph)
+        split = split_train_test(graph, args.test_fraction, args.seed)
     report = score_embeddings(z, split)
     row = _report_row(args.dataset, args.method, args.seed, report)
     artifacts.write_report_rows(emit("report.csv"), [row])
@@ -204,12 +206,12 @@ def _cmd_eval(args, emit):
     print(f"{args.method} seed={args.seed} auc={report.auc:.4f} f1={report.f1:.4f}")
 
 
-def _trained_model(args, graph):
-    """The checkpoint's ``(params, sgcn_cfg)``, once its split and model match the command line."""
+def _trained_embeddings(args, graph):
+    """The embeddings ``train`` stored, once the checkpoint's split and model match the command line."""
     checkpoint = Path(args.checkpoint or (Path(args.out) / "checkpoint.npz"))
     if not checkpoint.exists():
         raise FileNotFoundError(f"no checkpoint at {checkpoint}; run the train command first")
-    sgcn_cfg, _, params, _, trained_on = artifacts.load_checkpoint(checkpoint)
+    sgcn_cfg, _, _, _, embeddings, trained_on = artifacts.load_checkpoint(checkpoint)
     trained_on["method"] = next(
         (m for m in MODEL_METHODS
          if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
@@ -230,7 +232,13 @@ def _trained_model(args, graph):
                 f"checkpoint was trained with {key}={trained_on[key]!r}, "
                 f"eval was given {key}={value!r}"
             )
-    return params, sgcn_cfg
+    expected = (graph.n, sgcn_cfg.embedding_dim)
+    if embeddings.shape != expected:
+        raise ValueError(
+            f"checkpoint stores embeddings of shape {embeddings.shape}, "
+            f"eval needs {expected}"
+        )
+    return embeddings
 
 
 def _cmd_triangles(args, emit):

@@ -7,8 +7,9 @@ random negative one, ties counted half) and by F1 of the positive-link
 class at a fixed 0.5 threshold. :func:`run_experiment` wires the whole
 protocol together on a graph the caller has built, typically with
 ``to_undirected(load_edge_list(path, format))``: split, embed from the train
-side only, fit, score. The CLI's ``train`` and ``eval`` run the same steps
-through its helpers.
+side only, fit, score. The CLI's ``train`` runs the same steps through its
+helpers, and its ``eval`` scores the embeddings ``train`` stored on the
+same split.
 """
 
 from __future__ import annotations

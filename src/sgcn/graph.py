@@ -147,6 +147,9 @@ class SignedGraph:
         return self.adj.nnz // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``u`` and ``v`` share an edge; a node id outside ``0..n-1`` is refused."""
+        _check_node(self, u)
+        _check_node(self, v)
         return v in self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
 
     def __eq__(self, other):
@@ -264,9 +267,13 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
 
 def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return node ``i``'s positive and negative neighbors, each sorted."""
-    if not 0 <= i < g.n:
-        raise ValueError(f"node id {i} out of range for n={g.n}")
+    _check_node(g, i)
     row = slice(g.adj.indptr[i], g.adj.indptr[i + 1])
     nbrs, signs = g.adj.indices[row], g.adj.data[row]
     return tuple(nbrs[signs > 0].tolist()), tuple(nbrs[signs < 0].tolist())
 
+
+def _check_node(g: SignedGraph, i: int) -> None:
+    """Refuse a node id outside ``0..n-1``, which indexing would wrap or overrun."""
+    if not 0 <= i < g.n:
+        raise ValueError(f"node id {i} out of range for n={g.n}")

@@ -41,7 +41,7 @@ __all__ = [
     "write_manifest",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_arrays(path, **arrays) -> None:
@@ -100,14 +100,16 @@ def save_checkpoint(
     train_cfg: TrainConfig,
     params: SgcnParams,
     mlg: MlgParams,
+    embeddings: np.ndarray,
     split: dict,
 ) -> None:
-    """Bundle configs, every weight matrix and the classifier parameters.
+    """Bundle configs, every weight matrix, the classifier parameters and the embeddings.
 
-    ``split`` holds the ``test_fraction``, ``seed`` and ``dataset_sha1`` of
-    the train/test split the weights were fit on; ``train_cfg.seed`` is the
-    initialization seed. The format is version 3, and
-    :func:`load_checkpoint` refuses any other.
+    ``embeddings`` is the ``n x 2*d_hidden`` matrix the fit ended with,
+    which ``eval`` scores without recomputing it. ``split`` holds the
+    ``test_fraction``, ``seed`` and ``dataset_sha1`` of the train/test split
+    the weights were fit on; ``train_cfg.seed`` is the initialization seed.
+    The format is version 4, and :func:`load_checkpoint` refuses any other.
     """
     arrays = {
         "version": np.int64(CHECKPOINT_VERSION),
@@ -116,6 +118,7 @@ def save_checkpoint(
         "split": _json_array(split),
         "mlg_theta": mlg.theta,
         "mlg_bias": mlg.bias,
+        "embeddings": embeddings,
     }
     for i, w in enumerate(params.w_friend):
         arrays[f"w_friend_{i}"] = w
@@ -124,7 +127,14 @@ def save_checkpoint(
     save_arrays(path, **arrays)
 
 
-def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParams, dict]:
+def load_checkpoint(
+    path,
+) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParams, np.ndarray, dict]:
+    """A version-4 checkpoint as ``(sgcn_cfg, train_cfg, params, mlg, embeddings, split)``.
+
+    A checkpoint of any other version is refused before its contents are
+    read: versions up to 3 hold no embeddings.
+    """
     data = load_arrays(path)
     version = int(data["version"])
     if version != CHECKPOINT_VERSION:
@@ -137,7 +147,7 @@ def load_checkpoint(path) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParam
         w_enemy=[data[f"w_enemy_{i}"] for i in range(layers)],
     )
     mlg = MlgParams(theta=data["mlg_theta"], bias=data["mlg_bias"])
-    return sgcn_cfg, train_cfg, params, mlg, _json_value(data["split"])
+    return sgcn_cfg, train_cfg, params, mlg, data["embeddings"], _json_value(data["split"])
 
 
 def write_loss_history(path, history: list[LossParts]) -> None:

@@ -15,8 +15,9 @@ of the informative bottom of the spectrum.
 
 One solver computes every embedding narrower than the graph: ARPACK's
 shift-invert Lanczos (``scipy.sparse.linalg.eigsh``) on the sparse operator,
-started from a fixed seeded vector, so that a fresh process repeats the same
-bits; ARPACK otherwise draws its own random start. An embedding as wide as
+started from a fixed seeded vector, so that a fresh process at the same BLAS
+thread count repeats the same bits; ARPACK otherwise draws its own random
+start. An embedding as wide as
 the graph is a full dense eigendecomposition, which ARPACK cannot compute.
 
 The zero eigenvalue has one eigenvector per balanced component (Kunegis et
@@ -108,8 +109,11 @@ def spectral_embedding(g: SignedGraph, d: int, return_eigenvalues: bool = False)
     canonical per-component vectors of :func:`_null_space_basis`. Each
     column's sign is then fixed so that its largest-magnitude entry is
     positive. The output is then the same, bit for bit, in every run and
-    process; across BLAS builds, the columns of simple eigenvalues agree up
-    to rounding.
+    process at a fixed BLAS thread count. Another thread count may change
+    the last bits (the bitcoin-alpha train features of seed 0 hash to SHA-1
+    ``260ea3f1...`` at 1 OpenBLAS thread, ``a8f4da87...`` at 2); across
+    thread counts and BLAS builds, the columns of simple eigenvalues agree
+    up to rounding.
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={g.n}")

@@ -169,6 +169,37 @@ class TestTrainEval:
         assert trained in err and given in err
         assert not (out / "report.csv").exists()
 
+    def test_eval_scores_the_stored_embeddings(self, dataset, tmp_path, monkeypatch):
+        # train already ran the eigensolver and the forward pass on this split.
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", dataset, "--method", "sgcn-1+",
+                    "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval recomputed what train stored")
+
+        for module in ("sgcn.evaluation", "sgcn.cli"):
+            monkeypatch.setattr(f"{module}.spectral_embedding", refuse)
+        monkeypatch.setattr("sgcn.model.forward_pass", refuse)
+        assert run(["eval", "--dataset", dataset, "--method", "sgcn-1+",
+                    "--seed", "2", "--out", out, *SHAPE]) == 0
+        (row,) = csv_rows(out / "report.csv")
+        assert row["method"] == "sgcn-1+"
+
+    @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1]], ids=["rows", "columns"])
+    def test_eval_refuses_stored_embeddings_of_another_shape(self, dataset, tmp_path,
+                                                             capsys, cut):
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", dataset, "--method", "sgcn-2",
+                    "--seed", "2", "--out", out, *FAST_TRAIN]) == 0
+        arrays = artifacts.load_arrays(out / "checkpoint.npz")
+        arrays["embeddings"] = arrays["embeddings"][cut]
+        artifacts.save_arrays(out / "checkpoint.npz", **arrays)
+        assert run(["eval", "--dataset", dataset, "--method", "sgcn-2",
+                    "--seed", "2", "--out", out, *SHAPE]) == 1
+        assert "eval needs (30, 8)" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_eval_sse_needs_no_checkpoint(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert run(["eval", "--dataset", dataset, "--method", "sse",

@@ -208,6 +208,29 @@ class TestNeighborSets:
             neighbor_sets(g, 2)
 
 
+class TestHasEdge:
+    def test_edges_either_way_round(self):
+        g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
+        assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(2, 1)
+        assert not g.has_edge(0, 2)
+
+    def test_node_past_the_end_is_refused(self):
+        # Indexing indptr[u + 1] would overrun for u = n.
+        g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
+        with pytest.raises(ValueError, match="node id 3 out of range for n=3"):
+            g.has_edge(3, 0)
+        with pytest.raises(ValueError, match="node id 3 out of range for n=3"):
+            g.has_edge(0, 3)
+
+    def test_negative_node_is_refused(self):
+        # Negative indexing would read another node's row and answer False.
+        g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
+        with pytest.raises(ValueError, match="node id -1 out of range for n=3"):
+            g.has_edge(-1, 0)
+        with pytest.raises(ValueError, match="node id -1 out of range for n=3"):
+            g.has_edge(0, -1)
+
+
 class TestSplitTrainTest:
     def _grid_graph(self, n=25):
         rng = np.random.default_rng(0)

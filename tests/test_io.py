@@ -61,10 +61,11 @@ def test_checkpoint_roundtrip(tmp_path):
     params = init_params(sgcn_cfg, seed=3)
     mlg = MlgParams(theta=np.random.default_rng(3).standard_normal((3, 16)),
                     bias=np.array([0.1, -0.2, 0.0]))
+    embeddings = np.random.default_rng(4).standard_normal((5, 8))
     split = {"test_fraction": 0.2, "seed": 3, "dataset_sha1": "0" * 40}
     path = tmp_path / "checkpoint.npz"
-    artifacts.save_checkpoint(path, sgcn_cfg, train_cfg, params, mlg, split)
-    cfg2, tcfg2, params2, mlg2, split2 = artifacts.load_checkpoint(path)
+    artifacts.save_checkpoint(path, sgcn_cfg, train_cfg, params, mlg, embeddings, split)
+    cfg2, tcfg2, params2, mlg2, embeddings2, split2 = artifacts.load_checkpoint(path)
     assert cfg2 == sgcn_cfg
     assert split2 == split
     assert tcfg2 == train_cfg
@@ -72,6 +73,8 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     assert np.array_equal(mlg2.theta, mlg.theta)
     assert np.array_equal(mlg2.bias, mlg.bias)
+    assert embeddings2.dtype == embeddings.dtype
+    assert embeddings2.tobytes() == embeddings.tobytes()
 
 
 def test_version_2_checkpoint_refused(tmp_path):
@@ -80,13 +83,29 @@ def test_version_2_checkpoint_refused(tmp_path):
     sgcn_cfg = SgcnConfig(d_in=2, d_hidden=2, layers=1)
     path = tmp_path / "checkpoint.npz"
     artifacts.save_checkpoint(path, sgcn_cfg, TrainConfig(), init_params(sgcn_cfg, 0),
-                              MlgParams.zeros(4), {})
+                              MlgParams.zeros(4), np.zeros((3, 4)), {})
     arrays = artifacts.load_arrays(path)
+    del arrays["embeddings"]
     train_cfg = {**json.loads(arrays["train_cfg"].tobytes()), "classifier_bias": True}
     arrays.update(version=np.int64(2), seed=np.int64(0),
                   train_cfg=np.frombuffer(json.dumps(train_cfg).encode(), dtype=np.uint8))
     artifacts.save_arrays(path, **arrays)
     with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        artifacts.load_checkpoint(path)
+
+
+def test_version_3_checkpoint_refused(tmp_path):
+    # Version 3 stored no embeddings, which eval now scores in place of a
+    # second forward pass; the version check must come first.
+    sgcn_cfg = SgcnConfig(d_in=2, d_hidden=2, layers=1)
+    path = tmp_path / "checkpoint.npz"
+    artifacts.save_checkpoint(path, sgcn_cfg, TrainConfig(), init_params(sgcn_cfg, 0),
+                              MlgParams.zeros(4), np.zeros((3, 4)), {})
+    arrays = artifacts.load_arrays(path)
+    del arrays["embeddings"]
+    arrays.update(version=np.int64(3))
+    artifacts.save_arrays(path, **arrays)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
         artifacts.load_checkpoint(path)
 
 

@@ -114,7 +114,9 @@ def test_cli_eval_records_the_protocol_spans(tmp_path):
         assert cli.main(["eval", *flags]) == 0
     names = [span["name"] for span in tracer.spans]
     assert names.count("graph.split") == 1
-    assert names.count("spectral.embedding") == 1
-    assert names.count("model.embed") == 1
+    # eval scores the embeddings the checkpoint stores: no features, no forward pass.
+    assert names.count("spectral.embedding") == 0
+    assert names.count("model.embed") == 0
+    assert names.count("io.read") == 1
     assert names.count("evaluation.pairs") == 2
     assert "evaluation.run" not in names
