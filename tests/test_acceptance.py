@@ -18,11 +18,12 @@ from sgcn.evaluation import auc, f1, run_experiment
 from sgcn.graph import load_edge_list, to_undirected
 from sgcn.model import SgcnConfig, embed_all, init_params
 from sgcn.spectral import signed_laplacian
-from sgcn.training import MlgParams, TrainConfig, gradients, loss_parts, sample_batch
+from sgcn.training import MlgParams, TrainConfig, loss_parts, sample_batch
 
 from oracles import (
     central_difference,
     components,
+    gradients,
     is_two_colorable,
     random_signed_graph,
     walk_reach_by_parity,

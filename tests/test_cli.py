@@ -297,6 +297,20 @@ class TestSweepLambda:
         assert f"{flag} lists no values" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("flag, values, repeated", [
+        ("--lambdas", "1,5,1.0", "1"),
+        ("--seeds", "2,3,02", "2"),
+    ])
+    def test_repeated_value_refused_before_ingest(self, dataset, tmp_path, capsys, monkeypatch,
+                                                  flag, values, repeated):
+        # A repeat would add an identical row and count it as another seed.
+        refuse_ingest(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-1",
+                    flag, values, "--out", out, *FAST_TRAIN]) == 1
+        assert f"{flag} lists {repeated} twice" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 class TestFlags:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ class TestFitLogreg:
         grad_w = features.T @ (p - labels) / m + 2.0 * model.weights / m
         grad_b = (p - labels).mean()
         assert max(np.abs(grad_w).max(), abs(grad_b)) <= 1e-6
+
+    def test_scratch_stays_under_one_copy_of_the_features(self):
+        # Each Newton step scales the features by the curvature into one
+        # buffer; a fresh product per step would hold two m x d copies at once.
+        rng = np.random.default_rng(2)
+        features = rng.standard_normal((4000, 32))
+        labels = (features[:, 0] + rng.standard_normal(4000) > 0).astype(int)
+        ds = PairDataset(features, labels)
+        tracemalloc.start()
+        try:
+            fit_logreg(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * features.nbytes
 
 
 class TestAuc:

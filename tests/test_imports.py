@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there or re-exported.
+"""Every name a module of the package imports is used there or re-exported,
+and every private module-level name is read somewhere in the package.
 
 The project's dependencies include no linter, so this walks each module's
 syntax tree with the standard library's ``ast``.
@@ -45,3 +46,74 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _module_level(statements):
+    """The statements at a module's top level, those inside ``if`` and ``try`` included."""
+    for stmt in statements:
+        yield stmt
+        if isinstance(stmt, (ast.If, ast.Try)):
+            yield from _module_level(stmt.body + stmt.orelse + getattr(stmt, "finalbody", []))
+            for handler in getattr(stmt, "handlers", []):
+                yield from _module_level(handler.body)
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private top-level function, class or constant no module reads.
+
+    A name counts as read where an expression loads it, where an attribute
+    access names it, or where an import brings it into another module.
+    Dunder names such as ``__all__`` are not private.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in _module_level(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_private_checker_flags_only_unread_names():
+    sources = {
+        "a": (
+            "import ctypes\n"
+            "_LIMIT, _UNUSED = 1, 2\n"
+            "try:\n"
+            "    _trim = ctypes.CDLL(None).malloc_trim\n"
+            "except OSError:\n"
+            "    _trim = None\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    return _helper()\n"
+            "class _Gone:\n"
+            "    pass\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _trim\n"
+        ),
+        "b": "from . import a\nfrom .a import _imported\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == ["a:_Gone", "a:_UNUSED", "a:_dead"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -20,14 +20,13 @@ from sgcn.training import (
     SamplingError,
     TrainBatch,
     TrainConfig,
-    _sum_rows,
+    _objective,
     fit,
-    gradients,
     loss_parts,
     sample_batch,
 )
 
-from oracles import central_difference, random_signed_graph
+from oracles import central_difference, gradients, random_signed_graph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -368,20 +367,27 @@ class TestGradients:
         assert depths == {1, 2, 3}
 
 
-class TestSumRows:
-    def test_equals_add_at_into_zeros_bit_for_bit(self):
-        # Magnitudes spread over 16 decades, so any other order of addition
-        # within a row changes the sums' last bits.
-        rng = np.random.default_rng(12)
-        n, k = 50, 400
-        rows = rng.integers(0, 30, size=k).astype(np.intp)  # rows 30..49 get nothing
-        values = rng.standard_normal((k, 7)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
-        expected = np.zeros((n, 7))
-        np.add.at(expected, rows, values)
-        summed = _sum_rows(rows, values, n)
-        assert np.bincount(rows).max() > 1
-        assert np.array_equal(summed, expected)
-        assert not summed[30:].any()
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("linked_sign", [1, -1], ids=["positive-only", "negative-only"])
+    def test_dz_matches_central_differences(self, linked_sign):
+        # Node 0 is i of one triplet and k of another, the pair (0, 1) is
+        # drawn twice, and the other sign has no triplets.
+        pairs = np.array([[0, 1, 1], [0, 1, 1], [2, 3, -1], [4, 1, 1], [0, 5, 0], [3, 4, 0]])
+        triplets = np.array([[0, 1, 4], [5, 2, 0], [2, 3, 1]])
+        pos, neg = (triplets, NO_ROWS) if linked_sign > 0 else (NO_ROWS, triplets)
+        batch = TrainBatch(pairs, pos, neg, {1: 0.8, -1: 1.9, 0: 1.1})
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((6, 4))
+        mlg = MlgParams(theta=rng.standard_normal((3, 8)), bias=rng.standard_normal(3))
+        cfg = small_config(margin_weight=1.5, reg_coeff=1e-3)
+        params = init_params(SgcnConfig(d_in=2, d_hidden=2), 0)
+        slack = [np.sum((z[i] - z[j]) ** 2) - np.sum((z[i] - z[k]) ** 2) for i, j, k in triplets]
+        # Active and inactive hinges, none near its kink, where the
+        # difference quotient would straddle it.
+        assert min(slack) < -0.1 and max(slack) > 0.1 and min(np.abs(slack)) > 0.1
+        dz = _objective(z, mlg, batch, params, cfg)[1]
+        fd = central_difference(lambda: loss_parts(z, mlg, batch, params, cfg).total, z)
+        assert dz == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 MODELS = {
