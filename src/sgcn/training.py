@@ -338,14 +338,18 @@ def _backward(
     cfg: TrainConfig,
     sgcn_cfg: SgcnConfig,
     ops,
-) -> tuple[LossParts, SgcnParams, MlgParams]:
+) -> tuple[LossParts, SgcnParams | None, MlgParams | None]:
     """The objective's parts and its gradient, at the embedding and then through the model.
 
     One pass: the loss parts are read off the logits, exp-sums and hinge
-    slack that the gradient is built from. Raises ``ValueError`` on a batch
-    without pairs.
+    slack that the gradient is built from. A non-finite loss stops the pass
+    before it goes through the model, where it would only overflow, and both
+    gradients are then ``None``. Raises ``ValueError`` on a batch without
+    pairs.
     """
     parts, dz, grad_mlg = _objective(states[-1].embedding(), mlg, batch, params, cfg)
+    if not np.isfinite(parts.total):
+        return parts, None, None
     grad_w = backward_pass(states, params, sgcn_cfg, dz, ops)
     for gw, w in zip(grad_w.all_weights(), params.all_weights()):
         gw += 2.0 * cfg.reg_coeff * w

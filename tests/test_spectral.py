@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgcn import spectral
-from sgcn.graph import SignedGraph, neighbor_sets
+from sgcn.graph import SignedGraph, load_edge_list, neighbor_sets, split_train_test, to_undirected
 from sgcn.spectral import signed_laplacian, spectral_embedding
 
 from oracles import components, is_two_colorable, random_signed_graph
@@ -253,3 +256,91 @@ class TestSpectralEmbedding:
             for _ in range(2)
         ]
         assert runs[0] == runs[1] == spectral_embedding(g, 20).tobytes().hex()
+
+
+@st.composite
+def fragmented_graphs(draw):
+    """A random signed core, balanced fragments and isolated nodes, shuffled.
+
+    Returns the graph and a width ``1 <= d < n``.
+    """
+    core = draw(st.integers(0, 25))
+    fragments = draw(st.lists(st.integers(2, 4), max_size=3))
+    isolated = draw(st.integers(0, 3))
+    n = core + sum(fragments) + isolated
+    assume(n >= 2)
+    label = draw(st.permutations(range(n)))
+    edges = {}
+    if core >= 2:
+        pairs = st.tuples(st.integers(0, core - 1), st.integers(0, core - 1))
+        for u, v in draw(st.lists(pairs, max_size=3 * core)):
+            if u != v:
+                edges.setdefault((min(u, v), max(u, v)), draw(st.sampled_from([1, -1])))
+    start = core
+    for size in fragments:
+        colour = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+        for a in range(size - 1):
+            edges[(start + a, start + a + 1)] = colour[a] * colour[a + 1]
+        start += size
+    triples = [(label[u], label[v], sign) for (u, v), sign in edges.items()]
+    return SignedGraph.from_edges(n, triples), draw(st.integers(1, n - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fragmented_graphs())
+def test_sparse_solve_is_an_orthonormal_bottom_eigenbasis(case):
+    # Columns of repeated eigenvalues are not unique, so each column is
+    # checked as an eigenvector and against its neighbours, not against an
+    # oracle's basis.
+    g, d = case
+    vecs, vals = spectral_embedding(g, d, return_eigenvalues=True)
+    operator = spectral._embedding_operator(g.adj).toarray()
+    assert np.abs(vals - np.linalg.eigvalsh(operator)[:d]).max() < 1e-10
+    assert np.abs(vecs.T @ vecs - np.eye(d)).max() < 1e-10
+    assert np.abs(operator @ vecs - vecs * vals).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def alpha_train():
+    data = Path(__file__).resolve().parent.parent / "data" / "bitcoin_alpha.csv"
+    graph = to_undirected(load_edge_list(data, "weighted-csv"))
+    return split_train_test(graph, 0.2, seed=0).train
+
+
+@pytest.mark.dataset
+class TestBitcoinAlphaShiftInvert:
+    def test_factor_stays_sparse(self, alpha_train, monkeypatch):
+        # A COLAMD ordering of the shifted operator fills its LU to about
+        # 1.3 M nonzeros; a symmetric minimum-degree one to about 131 k.
+        factors = []
+        splu = scipy.sparse.linalg.splu
+
+        def recording_splu(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        spectral_embedding(alpha_train, 64)
+        [lu] = factors
+        assert lu.L.nnz + lu.U.nnz < 300_000
+
+    def test_same_eigenpairs_as_default_shift_invert(self, alpha_train):
+        # scipy's own shift-invert, factored with its default ordering and
+        # started from the same vector, then canonicalised the same way.
+        d = 64
+        vecs, vals = spectral_embedding(alpha_train, d, return_eigenvalues=True)
+        operator = spectral._embedding_operator(alpha_train.adj)
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, alpha_train.n)
+        ref_vals, ref_vecs = scipy.sparse.linalg.eigsh(
+            operator.tocsc(), k=d, sigma=-0.01, which="LM", v0=v0
+        )
+        order = np.argsort(ref_vals)
+        ref_vals, ref_vecs = ref_vals[order], ref_vecs[:, order]
+        null = spectral._null_space_basis(alpha_train.adj)
+        k = null.shape[1]
+        assert 0 < k < d
+        ref_vecs[:, :k] = null
+        ref_vecs = np.column_stack([sign_fixed(col) for col in ref_vecs.T])
+        assert np.abs(vals - ref_vals).max() < 1e-12
+        assert np.array_equal(vecs[:, :k], ref_vecs[:, :k])
+        assert np.abs(vecs[:, k:] - ref_vecs[:, k:]).max() < 1e-10

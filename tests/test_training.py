@@ -496,6 +496,7 @@ class TestFit:
             assert after <= before + 1e-8
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning:sgcn.model")
     def test_divergence_reported_with_epoch(self):
         # Adam moves each weight by about the learning rate per epoch, so a
         # finite rate cannot blow up geometrically; a step of 1e160 makes the
