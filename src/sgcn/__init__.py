@@ -15,7 +15,6 @@ from .graph import (
     SignedEdge,
     SignedGraph,
     load_edge_list,
-    neighbor_sets,
     split_train_test,
     to_undirected,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SignedEdge",
     "SignedGraph",
     "load_edge_list",
-    "neighbor_sets",
     "split_train_test",
     "to_undirected",
     "SgcnConfig",

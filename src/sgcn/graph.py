@@ -27,7 +27,6 @@ __all__ = [
     "load_edge_list",
     "to_undirected",
     "split_train_test",
-    "neighbor_sets",
 ]
 
 # The edge-list formats load_edge_list parses.
@@ -110,19 +109,11 @@ class SignedGraph:
     def n(self) -> int:
         return self.adj.shape[0]
 
-    def validate(self) -> None:
-        """Re-check the structural invariants; raises ``ValueError`` on any hole."""
-        # adj must be what from_edges builds from its entries on and above the diagonal.
-        rows = np.repeat(np.arange(self.n), np.diff(self.adj.indptr))
-        entries = np.column_stack([rows, self.adj.indices, self.adj.data])
-        rebuilt = SignedGraph.from_edges(self.n, entries[rows <= self.adj.indices]).adj
-        same = [np.array_equal(getattr(self.adj, k), getattr(rebuilt, k))
-                for k in ("indptr", "indices", "data")]
-        if self.adj.format != "csr" or self.adj.shape != rebuilt.shape or not all(same):
-            raise ValueError("adjacency is not a symmetric CSR matrix with sorted indices")
-
     def edge_array(self) -> np.ndarray:
-        """The :meth:`edges` as an ``(E, 3)`` int array of ``(u, v, sign)`` rows."""
+        """Each edge once as an ``(E, 3)`` int64 row ``(u, v, sign)`` with ``u < v``.
+
+        Rows are ordered by ``u``, positive before negative, then by ``v``.
+        """
         rows = np.repeat(np.arange(self.n), np.diff(self.adj.indptr))
         upper = self.adj.indices > rows
         u, v = rows[upper], self.adj.indices[upper].astype(np.int64)
@@ -130,7 +121,7 @@ class SignedGraph:
         return np.column_stack([u, v, sign])[np.lexsort((v, -sign, u))]
 
     def edges(self) -> Iterator[SignedEdge]:
-        """Yield each edge once as ``u < v``: by ``u``, positive before negative, then by ``v``."""
+        """The rows of :meth:`edge_array`, in its order, as :class:`SignedEdge` tuples."""
         for u, v, sign in self.edge_array().tolist():
             yield SignedEdge(u, v, sign)
 
@@ -145,12 +136,6 @@ class SignedGraph:
     @property
     def num_edges(self) -> int:
         return self.adj.nnz // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``u`` and ``v`` share an edge; a node id outside ``0..n-1`` is refused."""
-        _check_node(self, u)
-        _check_node(self, v)
-        return v in self.adj.indices[self.adj.indptr[u] : self.adj.indptr[u + 1]]
 
     def __eq__(self, other):
         if not isinstance(other, SignedGraph):
@@ -173,10 +158,12 @@ class EdgeSplit:
     test: tuple[SignedEdge, ...]
 
 
-def load_edge_list(path, format: str) -> list[tuple[int, int, int]]:
-    """Parse the directed signed edge-list file at ``path`` into ``(u, v, sign)`` records.
+def load_edge_list(path, format: str) -> np.ndarray:
+    """Parse the directed signed edge-list file at ``path`` into an ``(R, 3)`` int64 array.
 
-    The file is read as UTF-8 text. The two :data:`FORMATS` are:
+    Each row is one record ``(u, v, sign)`` in file order, with the raw node
+    ids as written. The file is read as UTF-8 text. The two :data:`FORMATS`
+    are:
 
     * ``weighted-csv`` -- comma-separated ``SOURCE,TARGET,RATING[,TIME,...]``
       lines (the Bitcoin trust-network export format). The rating's sign
@@ -184,10 +171,13 @@ def load_edge_list(path, format: str) -> list[tuple[int, int, int]]:
       because it carries no sign. Any columns after the rating are ignored.
     * ``signed-tsv`` -- tab-separated ``u<TAB>v<TAB>sign`` with sign in
       {1, -1}; lines starting with ``#`` are skipped.
+
+    In both, a node id that does not fit in int64 is rejected.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    records: list[tuple[int, int, int]] = []
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    records: list[int] = []
     with open(path, "r", encoding="utf-8") as text:
         for line_no, raw_line in enumerate(text, start=1):
             line = raw_line.strip()
@@ -218,31 +208,37 @@ def load_edge_list(path, format: str) -> list[tuple[int, int, int]]:
                 if rating == 0 or not math.isfinite(rating):
                     raise InvalidRatingError(line_no, f"rating {parts[2].strip()} has no sign")
                 sign = 1 if rating > 0 else -1
-            records.append((u, v, sign))
-    return records
+            if not (low <= u <= high and low <= v <= high):
+                raise ParseError(line_no, f"node id does not fit in int64 in {line!r}")
+            records += (u, v, sign)
+    return np.array(records, dtype=np.int64).reshape(-1, 3)
 
 
-def to_undirected(records: list[tuple[int, int, int]]) -> SignedGraph:
+def to_undirected(records) -> SignedGraph:
     """Fold directed signed records into an undirected :class:`SignedGraph`.
 
-    Node ids are compacted to ``0..n-1`` in ascending raw-id order; the raw
-    ids survive on ``SignedGraph.raw_ids``. The sign of an unordered pair is
-    the sign of the summed record signs, and pairs whose signs cancel are
-    dropped (their endpoints stay as nodes). Self-loop records are ignored.
+    ``records`` is an ``(R, 3)`` int64 array of ``(u, v, sign)`` rows, as
+    :func:`load_edge_list` returns, or anything ``np.asarray`` turns into
+    one. Node ids are compacted to ``0..n-1`` in ascending raw-id order; the
+    raw ids survive on ``SignedGraph.raw_ids``. The sign of an unordered pair
+    is the sign of the summed record signs, and pairs whose signs cancel are
+    dropped (their endpoints stay as nodes). Self-loop records are ignored,
+    and their node is kept.
     """
-    if not records:
+    records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+    if not len(records):
         raise ValueError("no records to convert")
-    raw_ids = tuple(sorted({u for u, _, _ in records} | {v for _, v, _ in records}))
-    index = {raw: i for i, raw in enumerate(raw_ids)}
-    sign_sum: dict[tuple[int, int], int] = {}
-    for u, v, sign in records:
-        if u == v:
-            continue
-        a, b = index[u], index[v]
-        key = (a, b) if a < b else (b, a)
-        sign_sum[key] = sign_sum.get(key, 0) + sign
-    edges = [(u, v, 1 if s > 0 else -1) for (u, v), s in sign_sum.items() if s != 0]
-    return SignedGraph.from_edges(len(raw_ids), edges, raw_ids=raw_ids)
+    raw_ids, ends = np.unique(records[:, :2].ravel(), return_inverse=True)
+    n = len(raw_ids)
+    u, v = ends.reshape(-1, 2).T
+    pair = u != v
+    u, v = u[pair], v[pair]
+    keys, pair_of = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True)
+    total = np.bincount(pair_of, weights=records[pair, 2])
+    kept = total != 0
+    u, v = np.divmod(keys[kept], n)
+    edges = np.column_stack([u, v, np.sign(total[kept]).astype(np.int64)])
+    return SignedGraph.from_edges(n, edges, raw_ids=tuple(raw_ids.tolist()))
 
 
 def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
@@ -263,17 +259,3 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
     test = tuple(SignedEdge(*e) for e in edges[held].tolist())
     train = SignedGraph.from_edges(g.n, edges[~held], raw_ids=g.raw_ids)
     return EdgeSplit(train=train, test=test)
-
-
-def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return node ``i``'s positive and negative neighbors, each sorted."""
-    _check_node(g, i)
-    row = slice(g.adj.indptr[i], g.adj.indptr[i + 1])
-    nbrs, signs = g.adj.indices[row], g.adj.data[row]
-    return tuple(nbrs[signs > 0].tolist()), tuple(nbrs[signs < 0].tolist())
-
-
-def _check_node(g: SignedGraph, i: int) -> None:
-    """Refuse a node id outside ``0..n-1``, which indexing would wrap or overrun."""
-    if not 0 <= i < g.n:
-        raise ValueError(f"node id {i} out of range for n={g.n}")

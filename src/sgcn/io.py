@@ -27,10 +27,8 @@ __all__ = [
     "save_arrays",
     "load_arrays",
     "save_graph",
-    "load_graph",
     "write_id_map",
     "write_embedding_csv",
-    "read_embedding_csv",
     "save_checkpoint",
     "load_checkpoint",
     "write_loss_history",
@@ -60,17 +58,11 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 
 
 def save_graph(path, g: SignedGraph) -> None:
+    """``n``, ``raw_ids``, and the ``u < v`` pairs of each sign as ``(E, 2)`` int64 arrays."""
     edges = g.edge_array()
     pos, neg = edges[edges[:, 2] > 0, :2], edges[edges[:, 2] < 0, :2]
     raw = np.asarray(_raw_ids(g), dtype=np.int64)
     save_arrays(path, n=np.int64(g.n), pos_edges=pos, neg_edges=neg, raw_ids=raw)
-
-
-def load_graph(path) -> SignedGraph:
-    data = load_arrays(path)
-    edges = np.concatenate([np.insert(data["pos_edges"], 2, 1, axis=1),
-                            np.insert(data["neg_edges"], 2, -1, axis=1)])
-    return SignedGraph.from_edges(int(data["n"]), edges, raw_ids=tuple(data["raw_ids"].tolist()))
 
 
 def write_id_map(path, g: SignedGraph) -> None:
@@ -83,15 +75,6 @@ def write_embedding_csv(path, z: np.ndarray, g: SignedGraph) -> None:
     header = ["raw_node_id"] + [f"z_{k + 1}" for k in range(z.shape[1])]
     rows = ([r, *map(repr, row.tolist())] for r, row in zip(_raw_ids(g), z, strict=True))
     _write_csv(path, header, rows)
-
-
-def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (raw ids, embedding matrix)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    z = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
-    return ids, z
 
 
 def save_checkpoint(

@@ -1,11 +1,12 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here is written for transparency over speed: exhaustive walk
-enumeration, exhaustive 2-coloring, pairwise AUC counting, and central
-finite differences. None of it shares code with the implementations under
-test, except :func:`gradients`: it runs the library's own forward and
-backward pass for one batch, so that the tests can hold that gradient
-against central differences.
+Everything here is written for transparency over speed: neighbour lookups
+and invariant checks read entry by entry off the adjacency, a dict fold of
+raw records, exhaustive walk enumeration, exhaustive 2-coloring, pairwise
+AUC counting, and central finite differences. None of it shares code with
+the implementations under test, except :func:`gradients`: it runs the
+library's own forward and backward pass for one batch, so that the tests
+can hold that gradient against central differences.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from sgcn.graph import SignedGraph, neighbor_sets
+from sgcn.graph import SignedGraph
 from sgcn.model import forward_pass, neighbor_mean_ops
 from sgcn.training import _backward
 
@@ -27,6 +28,79 @@ def random_signed_graph(rng, n, edge_prob=0.4, neg_frac=0.3) -> SignedGraph:
                 sign = -1 if rng.random() < neg_frac else 1
                 edges.append((u, v, sign))
     return SignedGraph.from_edges(n, edges)
+
+
+def _check_node(g: SignedGraph, i: int) -> None:
+    """Refuse a node id outside ``0..n-1``, which indexing would wrap or overrun."""
+    if not 0 <= i < g.n:
+        raise ValueError(f"node id {i} out of range for n={g.n}")
+
+
+def _row(g: SignedGraph, i: int) -> list[tuple[int, float]]:
+    """The ``(column, value)`` entries stored in row ``i`` of ``g.adj``, in storage order."""
+    _check_node(g, i)
+    start, stop = int(g.adj.indptr[i]), int(g.adj.indptr[i + 1])
+    return list(zip(g.adj.indices[start:stop].tolist(), g.adj.data[start:stop].tolist()))
+
+
+def neighbor_sets(g: SignedGraph, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Node ``i``'s positive and negative neighbours, each sorted."""
+    row = _row(g, i)
+    return tuple(sorted(v for v, s in row if s > 0)), tuple(sorted(v for v, s in row if s < 0))
+
+
+def has_edge(g: SignedGraph, u: int, v: int) -> bool:
+    """Whether ``u`` and ``v`` share an edge; a node id outside ``0..n-1`` is refused."""
+    _check_node(g, v)
+    return any(w == v for w, _ in _row(g, u))
+
+
+def validate(g: SignedGraph) -> None:
+    """Raise ``ValueError`` unless ``g.adj`` is a simple, symmetric, signed CSR adjacency.
+
+    Each row must hold its columns in ascending order, each at most once,
+    never its own, and only the values +1 and -1; the entry ``(u, v)`` must
+    equal ``(v, u)``.
+    """
+    not_canonical = "adjacency is not a symmetric CSR matrix with sorted indices"
+    if g.adj.format != "csr" or g.adj.shape != (g.n, g.n):
+        raise ValueError(not_canonical)
+    entries, unsorted = {}, False
+    for u in range(g.n):
+        row = _row(g, u)
+        unsorted |= [v for v, _ in row] != sorted(v for v, _ in row)
+        for v, s in row:
+            if (u, v) in entries:
+                raise ValueError(f"pair ({min(u, v)}, {max(u, v)}) listed more than once")
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            if s not in (1.0, -1.0):
+                raise ValueError(f"edge ({u}, {v}) has invalid sign {s}")
+            entries[u, v] = s
+    if unsorted or any(entries.get((v, u)) != s for (u, v), s in entries.items()):
+        raise ValueError(not_canonical)
+
+
+def fold_records(records) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """Fold directed ``(u, v, sign)`` records one by one through a dict.
+
+    Returns the raw ids in ascending order and the undirected edges over
+    their positions, as ``u < v`` rows ordered by ``u``, positive before
+    negative, then ``v``. A pair's sign is that of its summed record signs;
+    a pair whose signs cancel is dropped, a self-loop record is skipped,
+    and every id of a record stays a node.
+    """
+    records = [tuple(int(x) for x in record) for record in records]
+    raw_ids = tuple(sorted({u for u, _, _ in records} | {v for _, v, _ in records}))
+    index = {raw: i for i, raw in enumerate(raw_ids)}
+    sign_sum: dict[tuple[int, int], int] = {}
+    for u, v, sign in records:
+        if u == v:
+            continue
+        key = tuple(sorted((index[u], index[v])))
+        sign_sum[key] = sign_sum.get(key, 0) + sign
+    edges = [(u, v, 1 if s > 0 else -1) for (u, v), s in sign_sum.items() if s != 0]
+    return raw_ids, sorted(edges, key=lambda e: (e[0], -e[2], e[1]))
 
 
 def signed_neighbors(g: SignedGraph, u: int):

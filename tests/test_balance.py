@@ -10,9 +10,9 @@ from sgcn.balance import (
     reach_sets,
     triangle_census,
 )
-from sgcn.graph import SignedGraph, neighbor_sets
+from sgcn.graph import SignedGraph
 
-from oracles import random_signed_graph, walk_reach_by_parity
+from oracles import neighbor_sets, random_signed_graph, walk_reach_by_parity
 
 
 class TestClassifyTriangle:

@@ -13,6 +13,8 @@ from sgcn.evaluation import METHODS, run_experiment
 from sgcn.graph import FORMATS, load_edge_list, to_undirected
 from sgcn.training import TrainConfig
 
+from readers import load_graph, read_embedding_csv
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -66,7 +68,7 @@ class TestIngest:
         assert run(["ingest", "--dataset", dataset, "--out", out]) == 0
         printed = capsys.readouterr().out
         assert "nodes=30" in printed
-        graph = artifacts.load_graph(out / "graph.npz")
+        graph = load_graph(out / "graph.npz")
         assert graph.n == 30
         id_map = (out / "id_map.csv").read_text().splitlines()
         assert id_map[0] == "internal_id,raw_id"
@@ -84,6 +86,14 @@ class TestIngest:
         assert "error:" in capsys.readouterr().err
         assert not (out / "graph.npz").exists()
 
+    def test_id_outside_int64_refused_with_its_line(self, tmp_path, capsys):
+        src = tmp_path / "big.csv"
+        src.write_text("1,2,3\n9223372036854775808,5,1\n")
+        out = tmp_path / "out"
+        assert run(["ingest", "--dataset", src, "--out", out]) == 1
+        assert "error: line 2: node id does not fit in int64" in capsys.readouterr().err
+        assert not (out / "graph.npz").exists()
+
     def test_signed_tsv_format(self, tmp_path, capsys):
         src = tmp_path / "edges.tsv"
         src.write_text("# comment\n1\t2\t1\n2\t3\t-1\n1\t3\t1\n4\t1\t1\n5\t2\t-1\n")
@@ -97,7 +107,7 @@ class TestSse:
     def test_writes_embeddings(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert run(["sse", "--dataset", dataset, "--dim", "6", "--out", out]) == 0
-        ids, z = artifacts.read_embedding_csv(out / "embeddings.csv")
+        ids, z = read_embedding_csv(out / "embeddings.csv")
         assert z.shape == (30, 6)
         assert ids.tolist() == list(range(30))
 
@@ -112,7 +122,7 @@ class TestTrainEval:
         assert len(history) == 6
         assert set(history[0]) == {"epoch", "mean_loss", "mlg_part",
                                    "margin_part", "reg_part"}
-        ids, z = artifacts.read_embedding_csv(out / "embeddings.csv")
+        ids, z = read_embedding_csv(out / "embeddings.csv")
         assert z.shape == (30, 8)
 
     def test_training_is_reproducible_bit_for_bit(self, dataset, tmp_path):

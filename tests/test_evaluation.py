@@ -15,12 +15,12 @@ from sgcn.evaluation import (
     fit_logreg,
     run_experiment,
 )
-from sgcn.graph import (SignedEdge, SignedGraph, load_edge_list, neighbor_sets, split_train_test,
+from sgcn.graph import (SignedEdge, SignedGraph, load_edge_list, split_train_test,
                         to_undirected)
 from sgcn.spectral import spectral_embedding
 from sgcn.training import TrainConfig
 
-from oracles import auc_by_enumeration
+from oracles import auc_by_enumeration, neighbor_sets
 
 
 class TestBuildPairs:

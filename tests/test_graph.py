@@ -4,20 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgcn.graph import (
     InvalidRatingError,
     ParseError,
     SignedGraph,
     load_edge_list,
-    neighbor_sets,
     split_train_test,
     to_undirected,
 )
 
-from oracles import random_signed_graph
+from oracles import fold_records, has_edge, neighbor_sets, random_signed_graph, validate
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+INT64 = np.iinfo(np.int64)
 
 
 def csr(n, data, indices, indptr):
@@ -27,20 +29,22 @@ def csr(n, data, indices, indptr):
 
 
 def parse(tmp_path, data: bytes, format="weighted-csv"):
-    """``load_edge_list`` on a file holding ``data``."""
+    """``load_edge_list`` on a file holding ``data``, as a list of rows."""
     path = tmp_path / "edges"
     path.write_bytes(data)
-    return load_edge_list(path, format)
+    records = load_edge_list(path, format)
+    assert records.dtype == np.int64 and records.shape == (len(records), 3)
+    return records.tolist()
 
 
 class TestLoadEdgeList:
     def test_weighted_csv_positive_rating(self, tmp_path):
         records = parse(tmp_path, b"7,1,10,1416000000.0\n")
-        assert records == [(7, 1, 1)]
+        assert records == [[7, 1, 1]]
 
     def test_weighted_csv_negative_rating(self, tmp_path):
         records = parse(tmp_path, b"3,4,-2,1416000000.0\n")
-        assert records == [(3, 4, -1)]
+        assert records == [[3, 4, -1]]
 
     def test_weighted_csv_zero_rating_rejected(self, tmp_path):
         with pytest.raises(InvalidRatingError) as exc:
@@ -54,7 +58,7 @@ class TestLoadEdgeList:
         assert exc.value.line_no == 2
 
     def test_weighted_csv_without_time_column(self, tmp_path):
-        assert parse(tmp_path, b"5,6,3\n") == [(5, 6, 1)]
+        assert parse(tmp_path, b"5,6,3\n") == [[5, 6, 1]]
 
     def test_malformed_line_names_line_number(self, tmp_path):
         with pytest.raises(ParseError) as exc:
@@ -63,11 +67,27 @@ class TestLoadEdgeList:
 
     def test_signed_tsv_with_comments(self, tmp_path):
         data = b"# a comment\n1\t2\t1\n2\t3\t-1\n"
-        assert parse(tmp_path, data, "signed-tsv") == [(1, 2, 1), (2, 3, -1)]
+        assert parse(tmp_path, data, "signed-tsv") == [[1, 2, 1], [2, 3, -1]]
 
     def test_signed_tsv_bad_sign(self, tmp_path):
         with pytest.raises(ParseError):
             parse(tmp_path, b"1\t2\t4\n", "signed-tsv")
+
+    @pytest.mark.parametrize("format,line", [("weighted-csv", "{u},{v},1"), ("signed-tsv", "{u}\t{v}\t1")],
+                             ids=["weighted-csv", "signed-tsv"])
+    @pytest.mark.parametrize("u,v", [(INT64.max + 1, 2), (2, INT64.min - 1)],
+                             ids=["past-max", "below-min"])
+    def test_id_outside_int64_names_its_line(self, tmp_path, format, line, u, v):
+        data = line.format(u=INT64.max, v=INT64.min) + "\n" + line.format(u=u, v=v) + "\n"
+        with pytest.raises(ParseError, match="does not fit in int64") as exc:
+            parse(tmp_path, data.encode(), format)
+        assert exc.value.line_no == 2
+
+    def test_ids_at_the_int64_bounds_kept(self, tmp_path):
+        assert parse(tmp_path, f"{INT64.max},{INT64.min},-1\n".encode()) == [[INT64.max, INT64.min, -1]]
+
+    def test_empty_file_gives_no_rows(self, tmp_path):
+        assert parse(tmp_path, b"# nothing\n\n", "signed-tsv") == []
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -76,8 +96,14 @@ class TestLoadEdgeList:
     def test_accepts_str_and_path(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("1,2,5,0\n")
-        assert load_edge_list(p, "weighted-csv") == [(1, 2, 1)]
-        assert load_edge_list(str(p), "weighted-csv") == [(1, 2, 1)]
+        assert load_edge_list(p, "weighted-csv").tolist() == [[1, 2, 1]]
+        assert load_edge_list(str(p), "weighted-csv").tolist() == [[1, 2, 1]]
+
+
+# Raw ids as sources store them: a few small ones, so that records repeat,
+# oppose, cancel and loop, among sparse ones out to both int64 bounds.
+raw_id = st.one_of(st.integers(-2, 6), st.integers(INT64.min, INT64.max),
+                   st.sampled_from([INT64.min, INT64.max]))
 
 
 class TestToUndirected:
@@ -117,12 +143,26 @@ class TestToUndirected:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             to_undirected([])
+        with pytest.raises(ValueError):
+            to_undirected(np.empty((0, 3), dtype=np.int64))
 
     def test_invariants_validated(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_signed_graph(rng, int(rng.integers(2, 12)))
-            g.validate()
+            validate(g)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(raw_id, raw_id, st.sampled_from([1, -1])), min_size=1, max_size=40))
+    @example([(INT64.max, 3, 1), (3, INT64.max, 1), (INT64.max, 3, 1), (INT64.max, 3, -1),
+              (7, 7, -1), (7, 3, -1), (3, 7, 1), (INT64.min, INT64.max, -1)])
+    def test_fold_matches_the_dict_fold(self, records):
+        raw, edges = fold_records(records)
+        expected = np.array(edges, dtype=np.int64).reshape(-1, 3)
+        for given_as in (records, np.array(records, dtype=np.int64)):
+            g = to_undirected(given_as)
+            assert g.raw_ids == raw
+            assert np.array_equal(g.edge_array(), expected)
 
 
 class TestSignedGraph:
@@ -144,28 +184,29 @@ class TestSignedGraph:
         with pytest.raises(ValueError, match="raw_ids"):
             SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)], raw_ids=raw_ids)
 
+    # The oracle's invariant check must fail on each kind of malformed adjacency.
     def test_validate_catches_asymmetry(self):
         g = SignedGraph(adj=csr(2, data=[1.0], indices=[1], indptr=[0, 1, 1]))
         with pytest.raises(ValueError, match="not a symmetric CSR matrix"):
-            g.validate()
+            validate(g)
 
     def test_validate_catches_sign_overlap(self):
         # Pair (0, 1) stored twice, once per sign: a non-canonical CSR.
         g = SignedGraph(adj=csr(2, data=[1.0, -1.0, 1.0, -1.0], indices=[1, 1, 0, 0],
                                 indptr=[0, 2, 4]))
         with pytest.raises(ValueError, match="pair \\(0, 1\\) listed more than once"):
-            g.validate()
+            validate(g)
 
     def test_validate_catches_diagonal_entry(self):
         g = SignedGraph(adj=csr(2, data=[1.0], indices=[0], indptr=[0, 1, 1]))
         with pytest.raises(ValueError, match="self-loop at node 0"):
-            g.validate()
+            validate(g)
 
     @pytest.mark.parametrize("value", [2.0, 0.0, 0.5, -3.0])
     def test_validate_catches_data_outside_signs(self, value):
         g = SignedGraph(adj=csr(2, data=[value, value], indices=[1, 0], indptr=[0, 1, 2]))
         with pytest.raises(ValueError, match="invalid sign"):
-            g.validate()
+            validate(g)
 
     def test_adjacency_is_read_only(self):
         g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
@@ -179,7 +220,7 @@ class TestSignedGraph:
         assert g.n == 3
         assert np.array_equal(g.adj.toarray(), [[0, 1, 0], [1, 0, -1], [0, -1, 0]])
         assert g.adj.has_sorted_indices
-        g.validate()
+        validate(g)
 
     def test_equality_ignores_raw_ids_and_listing_order(self):
         a = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)], raw_ids=(5, 6, 7))
@@ -189,6 +230,8 @@ class TestSignedGraph:
         assert a != SignedGraph.from_edges(4, [(0, 1, 1), (1, 2, -1)])
 
 
+# The oracles' graph helpers: the property tests read the graph through
+# them, so each must answer from the adjacency and refuse what it cannot read.
 class TestNeighborSets:
     def test_single_positive_edge(self):
         g = SignedGraph.from_edges(2, [(0, 1, 1)])
@@ -211,24 +254,24 @@ class TestNeighborSets:
 class TestHasEdge:
     def test_edges_either_way_round(self):
         g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
-        assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(2, 1)
-        assert not g.has_edge(0, 2)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 0) and has_edge(g, 2, 1)
+        assert not has_edge(g, 0, 2)
 
     def test_node_past_the_end_is_refused(self):
         # Indexing indptr[u + 1] would overrun for u = n.
         g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
         with pytest.raises(ValueError, match="node id 3 out of range for n=3"):
-            g.has_edge(3, 0)
+            has_edge(g, 3, 0)
         with pytest.raises(ValueError, match="node id 3 out of range for n=3"):
-            g.has_edge(0, 3)
+            has_edge(g, 0, 3)
 
     def test_negative_node_is_refused(self):
         # Negative indexing would read another node's row and answer False.
         g = SignedGraph.from_edges(3, [(0, 1, 1), (1, 2, -1)])
         with pytest.raises(ValueError, match="node id -1 out of range for n=3"):
-            g.has_edge(-1, 0)
+            has_edge(g, -1, 0)
         with pytest.raises(ValueError, match="node id -1 out of range for n=3"):
-            g.has_edge(0, -1)
+            has_edge(g, 0, -1)
 
 
 class TestSplitTrainTest:

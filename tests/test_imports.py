@@ -1,16 +1,26 @@
 """Every name a module of the package imports is used there or re-exported,
-and every private module-level name is read somewhere in the package.
+every private module-level name is read somewhere in the package, and every
+public function or class has a reader outside the tests.
 
 The project's dependencies include no linter, so this walks each module's
 syntax tree with the standard library's ``ast``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sgcn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sgcn"
+
+
+def _is_all(stmt) -> bool:
+    """Whether ``stmt`` assigns the module's ``__all__``."""
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+    )
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,9 +34,7 @@ def unused_imports(source: str) -> list[str]:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
+        if _is_all(node):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
@@ -117,3 +125,77 @@ def test_private_checker_flags_only_unread_names():
 def test_every_private_name_is_read_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def _references(source: str) -> set[str]:
+    """The names a source reads: loaded names, attribute names and string constants.
+
+    Imports and the ``__all__`` list do not count as reads.
+    """
+    tree = ast.parse(source)
+    exported = {id(node) for stmt in tree.body if _is_all(stmt) for node in ast.walk(stmt)}
+    read = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str], readme: str) -> list[str]:
+    """``module:name`` for each public top-level function or class nothing reads.
+
+    The readers are the ``modules`` themselves, the other ``readers``
+    sources (see :func:`_references`), and the identifiers in the code spans
+    and code blocks of ``readme``. A name's definition and its ``__all__``
+    entries are not reads.
+    """
+    code = " ".join(re.findall(r"```.*?```|`[^`]+`", readme, re.S))
+    read = set(re.findall(r"\w+", code))
+    defined = []
+    for module, source in modules.items():
+        read |= _references(source)
+        defined += [(module, stmt.name) for stmt in _module_level(ast.parse(source).body)
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")]
+    for source in readers:
+        read |= _references(source)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_public_checker_flags_only_unread_names():
+    modules = {
+        "a": (
+            "__all__ = ['called', 'by_string', 'in_readme', 'exported_only', 'Unread']\n"
+            "def called():\n"
+            "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+            "def by_string():\n"
+            "    pass\n"
+            "def in_readme():\n"
+            "    pass\n"
+            "def exported_only():\n"
+            "    pass\n"
+            "class Unread:\n"
+            "    def method(self):\n"
+            "        return called()\n"
+        ),
+        "__init__": "from .a import exported_only, Unread\n__all__ = ['exported_only', 'Unread']\n",
+    }
+    readers = ["import a\na.by_attribute()\nTARGETS = (('a', 'by_string'),)\n"]
+    readme = "Call `a.in_readme()`; exported_only and Unread are prose.\n"
+    assert unread_public_names(modules, readers, readme) == ["a:Unread", "a:exported_only"]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for folder in ("demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unread_public_names(modules, readers, readme) == []

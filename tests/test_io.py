@@ -11,6 +11,7 @@ from sgcn.model import SgcnConfig, init_params
 from sgcn.training import LossParts, MlgParams, TrainConfig
 
 from oracles import random_signed_graph
+from readers import load_graph, read_embedding_csv
 
 
 def test_save_arrays_bytes_deterministic(tmp_path):
@@ -30,7 +31,7 @@ def test_graph_roundtrip(tmp_path):
     g = random_signed_graph(rng, 9, edge_prob=0.5)
     path = tmp_path / "graph.npz"
     artifacts.save_graph(path, g)
-    back = artifacts.load_graph(path)
+    back = load_graph(path)
     assert back.n == g.n
     assert set(back.edges()) == set(g.edges())
     assert back.raw_ids == tuple(range(g.n))
@@ -50,7 +51,7 @@ def test_embedding_csv_roundtrip(tmp_path):
     artifacts.write_embedding_csv(path, z, g)
     header = path.read_text().splitlines()[0]
     assert header == "raw_node_id,z_1,z_2,z_3,z_4"
-    ids, back = artifacts.read_embedding_csv(path)
+    ids, back = read_embedding_csv(path)
     assert ids.tolist() == [7, 8, 11]
     assert np.array_equal(back, z)
 

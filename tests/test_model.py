@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgcn.balance import reach_sets
-from sgcn.graph import SignedGraph, neighbor_sets
+from sgcn.graph import SignedGraph
 from sgcn.model import (
     SgcnConfig,
     SgcnParams,
@@ -11,7 +11,7 @@ from sgcn.model import (
     init_params,
 )
 
-from oracles import random_signed_graph
+from oracles import neighbor_sets, random_signed_graph
 
 
 def mixed_path():

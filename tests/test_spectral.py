@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgcn import spectral
-from sgcn.graph import SignedGraph, load_edge_list, neighbor_sets, split_train_test, to_undirected
+from sgcn.graph import SignedGraph, load_edge_list, split_train_test, to_undirected
 from sgcn.spectral import signed_laplacian, spectral_embedding
 
-from oracles import components, is_two_colorable, random_signed_graph
+from oracles import components, is_two_colorable, neighbor_sets, random_signed_graph
 
 
 class TestSignedLaplacian:
