@@ -37,25 +37,18 @@ class PathClass(enum.Enum):
 
 def classify_triangle(s1: int, s2: int, s3: int) -> PathClass:
     """Classify a signed triangle: balanced iff the sign product is +1."""
-    for s in (s1, s2, s3):
-        if s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {s}")
-    return PathClass.BALANCED if s1 * s2 * s3 == 1 else PathClass.UNBALANCED
+    return path_class((s1, s2, s3))
 
 
 def path_class(signs: Iterable[int]) -> PathClass:
     """Classify a path by its edge signs: balanced iff negatives are even."""
-    negatives = 0
-    count = 0
+    signs = list(signs)
     for s in signs:
         if s not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {s}")
-        count += 1
-        if s == -1:
-            negatives += 1
-    if count == 0:
+    if not signs:
         raise ValueError("empty sign sequence has no class")
-    return PathClass.BALANCED if negatives % 2 == 0 else PathClass.UNBALANCED
+    return PathClass.BALANCED if signs.count(-1) % 2 == 0 else PathClass.UNBALANCED
 
 
 @dataclass(frozen=True)

@@ -82,14 +82,19 @@ class SignedGraph:
         """Build a graph from undirected ``(u, v, sign)`` triples.
 
         ``edges`` is an ``(E, 3)`` array or a list of triples. Each unordered
-        pair may appear once. Self-loops, repeated pairs, and signs outside
-        {+1, -1} are rejected; the error names the first offending triple.
+        pair may appear once. Node ids that are not whole numbers, self-loops,
+        repeated pairs, and signs outside {+1, -1} are rejected; the error
+        names the first offending triple.
         """
         triples = np.asarray(edges).reshape(-1, 3)
-        u, v, sign = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
+        with np.errstate(invalid="ignore"):  # NaN, infinity or past int64: refused below
+            ends = triples[:, :2].astype(np.int64)
+        (u, v), sign = ends.T, triples[:, 2]
+        cut = np.any(ends != triples[:, :2], axis=1)
         repeated = np.ones(len(triples), dtype=bool)
         repeated[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = False
         checks = (
+            (cut, "edge {row} has a node id that is not a whole int64"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n), "edge ({u}, {v}) out of range for n={n}"),
             (u == v, "self-loop at node {u}"),
             ((sign != 1) & (sign != -1), "edge ({u}, {v}) has invalid sign {s}"),
@@ -99,7 +104,8 @@ class SignedGraph:
         if len(flagged):
             k = flagged[0]
             message = next(text for mask, text in checks if mask[k])
-            raise ValueError(message.format(u=u[k], v=v[k], s=sign[k], n=n))
+            row = triples[k].tolist()
+            raise ValueError(message.format(u=u[k], v=v[k], s=sign[k], n=n, row=row))
         adj = scipy.sparse.csr_matrix(
             (np.r_[sign, sign].astype(np.float64), (np.r_[u, v], np.r_[v, u])), shape=(n, n)
         )
@@ -172,45 +178,41 @@ def load_edge_list(path, format: str) -> np.ndarray:
     * ``signed-tsv`` -- tab-separated ``u<TAB>v<TAB>sign`` with sign in
       {1, -1}; lines starting with ``#`` are skipped.
 
-    In both, a node id that does not fit in int64 is rejected.
+    In both, a node id that does not fit in int64 is rejected, and so is an
+    id, rating or sign written with ``_`` or a non-ASCII character, which
+    Python's ``int`` and ``float`` would read (``1_0`` as 10, ``\u0665`` as 5).
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    tsv = format == "signed-tsv"
+    sep, value_of = ("\t", int) if tsv else (",", float)
+    layout = "u<TAB>v<TAB>sign" if tsv else "SOURCE,TARGET,RATING[,...]"
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     records: list[int] = []
     with open(path, "r", encoding="utf-8") as text:
         for line_no, raw_line in enumerate(text, start=1):
             line = raw_line.strip()
-            if not line:
+            if not line or (tsv and line.startswith("#")):
                 continue
-            if format == "signed-tsv":
-                if line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-                try:
-                    u, v, sign = (int(p) for p in parts)
-                except ValueError:
-                    raise ParseError(line_no, f"non-integer field in {line!r}") from None
-                if sign not in (1, -1):
-                    raise ParseError(line_no, f"sign must be 1 or -1, got {sign}")
-            else:
-                parts = line.split(",")
-                if len(parts) < 3:
-                    raise ParseError(line_no, f"expected SOURCE,TARGET,RATING[,...], got {line!r}")
-                try:
-                    u = int(parts[0])
-                    v = int(parts[1])
-                    rating = float(parts[2])
-                except ValueError:
-                    raise ParseError(line_no, f"non-numeric field in {line!r}") from None
-                if rating == 0 or not math.isfinite(rating):
-                    raise InvalidRatingError(line_no, f"rating {parts[2].strip()} has no sign")
-                sign = 1 if rating > 0 else -1
+            parts = line.split(sep)
+            if len(parts) < 3 or (tsv and len(parts) > 3):
+                raise ParseError(line_no, f"expected {layout}, got {line!r}")
+            # int() and float() would also read "1_0" as 10 and "\u0665" as 5.
+            if "_" in line or not line.isascii():
+                numerals = "".join(parts[:3])
+                if "_" in numerals or not numerals.isascii():
+                    raise ParseError(line_no, f"'_' or a non-ASCII character in a numeral of {line!r}")
+            try:
+                u, v, value = int(parts[0]), int(parts[1]), value_of(parts[2])
+            except ValueError:
+                raise ParseError(line_no, f"non-numeric field in {line!r}") from None
+            if tsv and value not in (1, -1):
+                raise ParseError(line_no, f"sign must be 1 or -1, got {value}")
+            if value == 0 or not math.isfinite(value):
+                raise InvalidRatingError(line_no, f"rating {parts[2].strip()} has no sign")
             if not (low <= u <= high and low <= v <= high):
                 raise ParseError(line_no, f"node id does not fit in int64 in {line!r}")
-            records += (u, v, sign)
+            records += (u, v, 1 if value > 0 else -1)
     return np.array(records, dtype=np.int64).reshape(-1, 3)
 
 
@@ -223,11 +225,19 @@ def to_undirected(records) -> SignedGraph:
     raw ids survive on ``SignedGraph.raw_ids``. The sign of an unordered pair
     is the sign of the summed record signs, and pairs whose signs cancel are
     dropped (their endpoints stay as nodes). Self-loop records are ignored,
-    and their node is kept.
+    and their node is kept. A record whose ids are not whole int64 numbers,
+    or whose sign is not +1 or -1, is rejected; the error names the first.
     """
-    records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
-    if not len(records):
+    values = np.asarray(records).reshape(-1, 3)
+    if not len(values):
         raise ValueError("no records to convert")
+    with np.errstate(invalid="ignore"):  # NaN, infinity or past int64: refused below
+        records = values.astype(np.int64, copy=False)
+    faulty = np.flatnonzero(np.any(records != values, axis=1) | ~np.isin(values[:, 2], (1, -1)))
+    if len(faulty):
+        k = faulty[0]
+        row = values[k].tolist()
+        raise ValueError(f"record {k} {row} is not two whole ids and a sign of +1 or -1")
     raw_ids, ends = np.unique(records[:, :2].ravel(), return_inverse=True)
     n = len(raw_ids)
     u, v = ends.reshape(-1, 2).T

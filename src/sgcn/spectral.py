@@ -32,7 +32,8 @@ The zero eigenvalue has one eigenvector per balanced component (Kunegis et
 al., SDM 2010), and an eigensolver may return any orthonormal basis of that
 space, one that changes with the solver, the LAPACK build and its thread
 count. The embedding therefore replaces the solver's null-space columns with
-one canonical vector per balanced component.
+one canonical vector per balanced component, which it finds from the
+connected components of the graph and of its signed double cover.
 """
 
 from __future__ import annotations
@@ -76,36 +77,31 @@ def _null_space_basis(adj: scipy.sparse.csr_matrix) -> np.ndarray:
     colour class and puts every negative edge across. The column is
     ``D^{1/2} c`` on the component, scaled to unit norm. An isolated node
     has no column; the operator puts it at eigenvalue 1. Columns are ordered
-    by each component's smallest node id, which the colouring gives +1.
+    by each component's smallest node id, its root, which the colouring
+    gives +1. In the signed double cover node ``i`` has copies ``i`` and
+    ``n + i``, a positive edge joins copies on the same side and a negative
+    one across. A component is balanced when its root's copies fall in
+    different cover components (Harary, 1953), and ``c`` is +1 on the nodes
+    whose copy ``i`` shares the root's.
     """
+    # Imported here: its compiled modules keep about 1 MB resident, which a
+    # process that never embeds (ingest, eval of a trained model) need not hold.
+    import scipy.sparse.csgraph
+
     n = adj.shape[0]
-    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
-    signs = adj.data.astype(int).tolist()
-    degrees = np.diff(adj.indptr)
-    colour = [0] * n
-    columns = []
-    for start in range(n):
-        if colour[start]:
-            continue
-        colour[start] = 1
-        members, stack, balanced = [start], [start], True
-        while stack:
-            u = stack.pop()
-            for k in range(indptr[u], indptr[u + 1]):
-                v, want = indices[k], colour[u] * signs[k]
-                if not colour[v]:
-                    colour[v] = want
-                    members.append(v)
-                    stack.append(v)
-                elif colour[v] != want:
-                    balanced = False
-        if not balanced or len(members) == 1:
-            continue
-        col = np.zeros(n)
-        col[members] = [colour[v] for v in members]
-        col[members] *= np.sqrt(degrees[members])
-        columns.append(col / np.linalg.norm(col))
-    return np.column_stack(columns) if columns else np.zeros((n, 0))
+    _, component = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    cover = scipy.sparse.bmat([[adj > 0, adj < 0], [adj < 0, adj > 0]], format="csr")
+    _, half = scipy.sparse.csgraph.connected_components(cover, directed=False)
+    # Labels run in order of each component's smallest node.
+    roots = np.unique(component, return_index=True)[1]
+    balanced = (half[roots] != half[n + roots]) & (np.bincount(component) > 1)
+    column = np.cumsum(balanced) - 1
+    nodes = np.flatnonzero(balanced[component])
+    colour = np.where(half[nodes] == half[roots[component[nodes]]], 1.0, -1.0)
+    basis = np.zeros((n, np.count_nonzero(balanced)))
+    basis[nodes, column[component[nodes]]] = colour * np.sqrt(np.diff(adj.indptr)[nodes])
+    # One dot product per column: a norm over axis 0 sums in another order.
+    return basis / [np.linalg.norm(col) for col in basis.T]
 
 
 def spectral_embedding(g: SignedGraph, d: int, return_eigenvalues: bool = False):
@@ -156,10 +152,8 @@ def spectral_embedding(g: SignedGraph, d: int, return_eigenvalues: bool = False)
     k = null.shape[1]
     vecs[:, :k] = null
     vals[:k] = 0.0
-    for j in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    flip = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
     vecs = np.ascontiguousarray(vecs)
     if return_eigenvalues:
         return vecs, vals

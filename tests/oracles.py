@@ -2,8 +2,9 @@
 
 Everything here is written for transparency over speed: neighbour lookups
 and invariant checks read entry by entry off the adjacency, a dict fold of
-raw records, exhaustive walk enumeration, exhaustive 2-coloring, pairwise
-AUC counting, and central finite differences. None of it shares code with
+raw records, exhaustive walk enumeration, exhaustive 2-coloring, a stack
+walk that 2-colours each component, pairwise AUC counting, and central
+finite differences. None of it shares code with
 the implementations under test, except :func:`gradients`: it runs the
 library's own forward and backward pass for one batch, so that the tests
 can hold that gradient against central differences.
@@ -175,6 +176,45 @@ def is_two_colorable(g: SignedGraph, nodes=None) -> bool:
         if ok:
             return True
     return False
+
+
+def null_space_basis_by_walk(adj) -> np.ndarray:
+    """The embedding's canonical null-space basis, found by a stack walk.
+
+    The walk 2-colours each connected component from its smallest node,
+    which gets +1, and marks the component unbalanced on the first edge
+    whose colours disagree with its sign. Each balanced component of two or
+    more nodes gives the column ``D^{1/2} c`` scaled to unit norm, in order
+    of the component's smallest node.
+    """
+    n = adj.shape[0]
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    signs = adj.data.astype(int).tolist()
+    degrees = np.diff(adj.indptr)
+    colour = [0] * n
+    columns = []
+    for start in range(n):
+        if colour[start]:
+            continue
+        colour[start] = 1
+        members, stack, balanced = [start], [start], True
+        while stack:
+            u = stack.pop()
+            for k in range(indptr[u], indptr[u + 1]):
+                v, want = indices[k], colour[u] * signs[k]
+                if not colour[v]:
+                    colour[v] = want
+                    members.append(v)
+                    stack.append(v)
+                elif colour[v] != want:
+                    balanced = False
+        if not balanced or len(members) == 1:
+            continue
+        col = np.zeros(n)
+        col[members] = [colour[v] for v in members]
+        col[members] *= np.sqrt(degrees[members])
+        columns.append(col / np.linalg.norm(col))
+    return np.column_stack(columns) if columns else np.zeros((n, 0))
 
 
 def auc_by_enumeration(scores, labels) -> float:

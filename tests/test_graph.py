@@ -93,6 +93,36 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError):
             parse(tmp_path, b"", "json")
 
+    # int() and float() read each of these numerals as a number.
+    @pytest.mark.parametrize("format,line", [
+        ("weighted-csv", "1_0,2,5"),
+        ("weighted-csv", "\uff11,2,5"),
+        ("weighted-csv", "1,2,1_0"),
+        ("weighted-csv", "1,2,\u0665"),
+        ("signed-tsv", "\u0665\t2\t1"),
+        ("signed-tsv", "1\t2_0\t-1"),
+        ("signed-tsv", "1\t2\t\u0661"),
+    ], ids=["csv-underscored-id", "csv-full-width-id", "csv-underscored-rating",
+            "csv-arabic-indic-rating", "tsv-arabic-indic-id", "tsv-underscored-id",
+            "tsv-arabic-indic-sign"])
+    def test_underscored_or_non_ascii_numeral_names_its_line(self, tmp_path, format, line):
+        first = "1,2,5" if format == "weighted-csv" else "1\t2\t1"
+        with pytest.raises(ParseError, match="non-ASCII") as exc:
+            parse(tmp_path, f"{first}\n{line}\n".encode(), format)
+        assert exc.value.line_no == 2
+
+    def test_columns_after_the_rating_are_not_numerals(self, tmp_path):
+        assert parse(tmp_path, "1,2,5,\u00e9t\u00e9_1\n".encode()) == [[1, 2, 1]]
+
+    @pytest.mark.dataset
+    @pytest.mark.parametrize("name,digest", [
+        ("bitcoin_alpha.csv", "d569f71374fde2ddde63f29f02a90128da5c4ea9"),
+        ("soc-sign-bitcoinotc.csv", "02d988542bdaa9d0d9b55fc2cf2e3f0433a03774"),
+    ])
+    def test_bitcoin_records_are_pinned(self, name, digest):
+        records = load_edge_list(DATA_DIR / name, "weighted-csv")
+        assert hashlib.sha1(records.tobytes()).hexdigest() == digest
+
     def test_accepts_str_and_path(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("1,2,5,0\n")
@@ -146,6 +176,21 @@ class TestToUndirected:
         with pytest.raises(ValueError):
             to_undirected(np.empty((0, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("records,row", [
+        ([[1, 2, 5], [2, 3, 0], [3, 4, -1]], 0),
+        ([[1, 2, 1], [2, 3, 0]], 1),
+        ([[2, 3, 1], [1.7, 2, 1]], 1),
+        ([[1, 2, -1], [2, 3, 1], [3, float("nan"), 1]], 2),
+        ([[1, 2, 1], [2, 3, 1], [3, 4, 1.0], [4, 1e19, 1]], 3),
+        ([["1", "2", "1"]], 0),
+    ], ids=["sign-5", "sign-0", "fractional-id", "nan-id", "id-past-int64", "text"])
+    def test_rejects_non_whole_ids_and_non_unit_signs(self, records, row):
+        with pytest.raises(ValueError, match=f"^record {row} "):
+            to_undirected(records)
+
+    def test_whole_float_records_accepted(self):
+        assert to_undirected([(1.0, 2.0, -1.0)]) == to_undirected([(1, 2, -1)])
+
     def test_invariants_validated(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -177,6 +222,16 @@ class TestSignedGraph:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             SignedGraph.from_edges(2, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("edges,row", [
+        ([(0.5, 1, 1)], [0.5, 1.0, 1.0]),
+        ([(0, 1, 1), (1, 2.25, -1)], [1.0, 2.25, -1.0]),
+        ([(0, 1, 1), (1, float("inf"), -1)], [1.0, float("inf"), -1.0]),
+    ], ids=["first", "second", "infinite"])
+    def test_rejects_non_whole_node_id(self, edges, row):
+        with pytest.raises(ValueError, match="not a whole int64") as exc:
+            SignedGraph.from_edges(3, edges)
+        assert str(row) in str(exc.value)
 
     @pytest.mark.parametrize("raw_ids", [(5, 6), (5, 6, 7, 8), (5, 5, 6)],
                              ids=["short", "long", "repeated"])

@@ -14,7 +14,13 @@ from sgcn import spectral
 from sgcn.graph import SignedGraph, load_edge_list, split_train_test, to_undirected
 from sgcn.spectral import signed_laplacian, spectral_embedding
 
-from oracles import components, is_two_colorable, neighbor_sets, random_signed_graph
+from oracles import (
+    components,
+    is_two_colorable,
+    neighbor_sets,
+    null_space_basis_by_walk,
+    random_signed_graph,
+)
 
 
 class TestSignedLaplacian:
@@ -300,11 +306,33 @@ def test_sparse_solve_is_an_orthonormal_bottom_eigenbasis(case):
     assert np.abs(operator @ vecs - vecs * vals).max() < 1e-10
 
 
-@pytest.fixture(scope="module")
-def alpha_train():
-    data = Path(__file__).resolve().parent.parent / "data" / "bitcoin_alpha.csv"
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fragmented_graphs())
+def test_null_space_basis_matches_the_walk(case):
+    g, _ = case
+    basis, walk = spectral._null_space_basis(g.adj), null_space_basis_by_walk(g.adj)
+    assert basis.shape == walk.shape
+    assert basis.tobytes() == walk.tobytes()
+
+
+def seed0_train(name):
+    data = Path(__file__).resolve().parent.parent / "data" / name
     graph = to_undirected(load_edge_list(data, "weighted-csv"))
     return split_train_test(graph, 0.2, seed=0).train
+
+
+@pytest.mark.dataset
+@pytest.mark.parametrize("name", ["bitcoin_alpha.csv", "soc-sign-bitcoinotc.csv"])
+def test_null_space_basis_matches_the_walk_on_bitcoin(name):
+    train = seed0_train(name)
+    basis, walk = spectral._null_space_basis(train.adj), null_space_basis_by_walk(train.adj)
+    assert basis.shape == walk.shape and basis.shape[1] > 0
+    assert basis.tobytes() == walk.tobytes()
+
+
+@pytest.fixture(scope="module")
+def alpha_train():
+    return seed0_train("bitcoin_alpha.csv")
 
 
 @pytest.mark.dataset
