@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io as artifacts
 from .balance import triangle_census
 from .evaluation import (DEFAULT_DIM, DEFAULT_TEST_FRACTION, METHODS, MODEL_METHODS,
@@ -238,7 +240,7 @@ def _trained_embeddings(args, graph):
             f"checkpoint stores embeddings of shape {embeddings.shape}, "
             f"eval needs {expected}"
         )
-    return embeddings
+    return embeddings.astype(np.float64)  # an exact copy for the float64 probe
 
 
 def _cmd_triangles(args, emit):

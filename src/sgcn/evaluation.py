@@ -204,10 +204,15 @@ def f1(predictions, labels) -> float:
 
 
 def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
-    """Fit the logistic probe on the train edges and score the held-out ones."""
-    train_pairs = build_pairs(z, split.train.edge_array())
+    """Fit the logistic probe on the train edges and score the held-out ones.
+
+    The probe runs in float64 on an exact copy of float32 embeddings. The
+    held-out pairs are built once it is fit, so their features are not
+    alive at its peak.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    model = fit_logreg(build_pairs(z, split.train.edge_array()))
     test_pairs = build_pairs(z, split.test)
-    model = fit_logreg(train_pairs)
     probs = model.predict_proba(test_pairs.features)
     n_test_pos = int(test_pairs.labels.sum())
     return EvalReport(
@@ -247,7 +252,9 @@ def run_experiment(
     else:
         sgcn_cfg = sgcn_config_for(method, d_in=x.shape[1], d_hidden=hidden_dim)
         cfg = train_cfg if train_cfg is not None else TrainConfig(seed=seed)
-        z = fit(split.train, model_input(x), cfg, sgcn_cfg).embeddings
+        # The probe reads an exact float64 copy of the float32 embeddings,
+        # which go with the FitResult.
+        z = fit(split.train, model_input(x), cfg, sgcn_cfg).embeddings.astype(np.float64)
         # Training leaves freed scratch arrays on the C heap. Unreturned,
         # the probe's arrays reuse that space or not, depending on how it
         # fragmented. sgcn-2 on bitcoin-alpha (1 BLAS thread, seeds 1-3)

@@ -25,6 +25,14 @@ zero slots keep the plus variant's weight shapes equal to the standard
 ones, so the first layer maps ``2*d_in -> d_hidden`` per track and every
 later layer maps ``3*d_hidden -> d_hidden``. The final embedding is the
 concatenation of both tracks' last-layer states.
+
+A pass computes in the precision of its node arrays: ``x`` for
+:func:`forward_pass`, ``dz`` for :func:`backward_pass`. Float32 stays
+float32 and any other input is read as float64, so a float64 call is the
+float64 arithmetic it always was. The weights are read cast to that
+precision, and the weight gradients come back in the weights' own dtype.
+Training keeps float64 master weights and runs its passes in float32 (see
+:func:`sgcn.training.fit`).
 """
 
 from __future__ import annotations
@@ -137,28 +145,32 @@ def init_params(cfg: SgcnConfig, seed: int) -> SgcnParams:
 
 
 def neighbor_mean_ops(
-    g: SignedGraph,
+    g: SignedGraph, dtype=np.float64
 ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
     """Sparse operators taking node features to positive/negative neighbor means.
 
     They are the masks ``g.adj > 0`` and ``g.adj < 0`` with each row scaled
     to sum to one; a node with no neighbors of that sign gets an all-zero
-    row, so an empty neighborhood contributes the zero vector.
+    row, so an empty neighborhood contributes the zero vector. Their entries
+    are the float64 ``1 / degree`` rounded to ``dtype``.
     """
-    return _row_normalized(g.adj > 0), _row_normalized(g.adj < 0)
+    return _row_normalized(g.adj > 0, dtype), _row_normalized(g.adj < 0, dtype)
 
 
-def _row_normalized(mask: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+def _row_normalized(mask: scipy.sparse.csr_matrix, dtype) -> scipy.sparse.csr_matrix:
     counts = np.diff(mask.indptr)
-    weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    weights = np.repeat((1.0 / np.maximum(counts, 1)).astype(dtype, copy=False), counts)
     return scipy.sparse.csr_matrix((weights, mask.indices, mask.indptr), shape=mask.shape)
 
 
 def first_layer_inputs(
     x: np.ndarray, ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The first layer's friend and enemy input blocks ``(P.x, x)`` and ``(N.x, x)``."""
-    x = np.asarray(x, dtype=np.float64)
+    """The first layer's friend and enemy input blocks ``(P.x, x)`` and ``(N.x, x)``.
+
+    ``ops`` must be in the precision of ``x``.
+    """
+    x = _float_array(x)
     features = LayerState(friend=x, enemy=x)
     return tuple(_input_blocks(blocks, features, ops) for blocks in _FIRST_LAYER)
 
@@ -177,9 +189,10 @@ def forward_pass(
     blocks of its table row, ``W_b`` being the slot's columns of the weights.
     ``ops`` may carry the pair from :func:`neighbor_mean_ops` and
     ``first_inputs`` the blocks from :func:`first_layer_inputs` of ``x`` to
-    skip rebuilding them, e.g. across training epochs on a fixed graph.
+    skip rebuilding them, e.g. across training epochs on a fixed graph;
+    both in the precision of ``x``. The states are in that precision.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     if x.ndim != 2 or x.shape[0] != g.n:
         raise ValueError(f"feature matrix must be ({g.n}, d_in), got {x.shape}")
     if len(params.w_friend) != cfg.layers or len(params.w_enemy) != cfg.layers:
@@ -191,7 +204,7 @@ def forward_pass(
             f"layer-1 weights expect input width {params.w_friend[0].shape[1] // 2}, "
             f"got {x.shape[1]}"
         )
-    ops = ops if ops is not None else neighbor_mean_ops(g)
+    ops = ops if ops is not None else neighbor_mean_ops(g, x.dtype)
     inputs = first_inputs if first_inputs is not None else first_layer_inputs(x, ops)
     states = []
     for layer in range(cfg.layers):
@@ -200,7 +213,7 @@ def forward_pass(
                 _input_blocks(blocks, states[-1], ops) for blocks in _LATER_LAYERS[cfg.variant]
             )
         friend, enemy = (
-            _activate(blocks, w[layer])
+            _activate(blocks, w[layer].astype(x.dtype, copy=False))
             for blocks, w in zip(inputs, (params.w_friend, params.w_enemy))
         )
         states.append(LayerState(friend=friend, enemy=enemy, inputs=inputs))
@@ -222,17 +235,20 @@ def backward_pass(
     layer tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``
     (zero for a zero slot), and each block's gradient ``d_pre @ W_b`` goes
     back through the transpose of its operator to the track it was read
-    from.
+    from. The pass runs in the precision of ``dz``, which ``states`` and
+    ``ops`` share; each weight gradient is written into an array of its
+    weight's dtype.
     """
     h = cfg.d_hidden
-    weights = (params.w_friend, params.w_enemy)
+    masters = (params.w_friend, params.w_enemy)
+    weights = [[w.astype(dz.dtype, copy=False) for w in ws] for ws in masters]
     grads = ([None] * cfg.layers, [None] * cfg.layers)
     g_state = [dz[:, :h], dz[:, h:]]
     for layer in range(cfg.layers - 1, -1, -1):
         # tanh' = 1 - tanh^2, read off the layer's output.
         d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
         for track in (_F, _E):
-            grad = grads[track][layer] = np.zeros_like(weights[track][layer])
+            grad = grads[track][layer] = np.zeros_like(masters[track][layer])
             blocks = states[layer].inputs[track]
             for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
                 if block is not None:
@@ -258,6 +274,12 @@ def backward_pass(
 def embed_all(g: SignedGraph, x: np.ndarray, params: SgcnParams, cfg: SgcnConfig) -> np.ndarray:
     """Node embeddings: the last layer's :meth:`LayerState.embedding`."""
     return forward_pass(g, x, params, cfg)[-1].embedding()
+
+
+def _float_array(a) -> np.ndarray:
+    """``a`` in the precision a pass computes in: float32 stays, all else is read as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 def _input_blocks(blocks, state: LayerState, ops) -> tuple[np.ndarray | None, ...]:

@@ -23,6 +23,15 @@ a plain gradient step lets them set the step size, and the run is spent
 shrinking the embeddings instead of separating the classes. Adam's
 per-coordinate normalization keeps every step near the learning rate,
 whatever the gradient's scale.
+
+Training is mixed-precision (Micikevicius et al., arXiv:1710.03740): each
+epoch's forward pass, objective and backward pass run in float32, on the
+features and neighbor-mean operators cast once, while the layer weights,
+the pair classifier and Adam's moments stay float64 master copies. Each
+pass reads the weights cast to float32, and the weight gradients come back
+as float64 for the Adam step. The objective, like the passes of
+:mod:`sgcn.model`, computes in the dtype of the embedding it is given, so
+a float64 call is float64 arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -65,16 +74,19 @@ _CLASS_OF_SIGN = np.array([2, 0, 1], dtype=np.intp)
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 
+# The precision of fit's per-node passes; its master weights are float64.
+_TRAIN_DTYPE = np.float32
+
 
 class SamplingError(RuntimeError):
     """Could not assemble a batch, e.g. no unlinked partners exist."""
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or a weight past the passes' precision."""
 
-    def __init__(self, epoch: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at epoch {epoch}")
+    def __init__(self, epoch: int, what: str):
+        super().__init__(f"{what} at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -160,6 +172,8 @@ class LossParts:
 
 @dataclass
 class FitResult:
+    """The float64 master weights, the float32 final embeddings and the loss history."""
+
     params: SgcnParams
     mlg: MlgParams
     embeddings: np.ndarray
@@ -298,36 +312,53 @@ def fit(
     holds each epoch's loss parts before its step, as :func:`_backward`
     read them off the pass that gives the gradient, and the embeddings are
     the last layer's :meth:`~sgcn.model.LayerState.embedding` after the
-    last step. Raises :class:`DivergenceError` if the loss stops being
-    finite.
+    last step.
+
+    The forward pass, the objective and the backward pass run in float32
+    on ``x`` and the neighbor-mean operators, each cast once; the weights,
+    the pair classifier and Adam's moments are float64, and so are the
+    returned ``params`` and ``mlg``. The embeddings are the float32 output
+    of the final forward pass. Raises :class:`DivergenceError` if the loss
+    stops being finite, or once a weight is past float32's range, before a
+    pass would cast it to inf.
     """
     params = init_params(sgcn_cfg, cfg.seed)
     mlg = MlgParams.zeros(sgcn_cfg.embedding_dim)
-    ops = neighbor_mean_ops(train)
+    x = np.asarray(x, dtype=_TRAIN_DTYPE)
+    ops = neighbor_mean_ops(train, x.dtype)
     first_inputs = first_layer_inputs(x, ops)  # x is fixed, so these are too
     history: list[LossParts] = []
     trained = params.all_weights() + [mlg.theta, mlg.bias]
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in trained]
-    beta1, beta2 = _ADAM_BETAS
-    for epoch in range(cfg.epochs):
-        batch = sample_batch(train, cfg, epoch)
+    limit = float(np.finfo(x.dtype).max)
+    for epoch in range(cfg.epochs + 1):
+        top = max(float(np.abs(w).max()) for w in trained)
+        if not top <= limit:
+            raise DivergenceError(epoch, f"weight magnitude {top!r} past the {x.dtype} range")
         states = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)
+        if epoch == cfg.epochs:
+            break  # the states after the last step, which give the embeddings
+        batch = sample_batch(train, cfg, epoch)
         parts, grad_w, grad_mlg = _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
         if not np.isfinite(parts.total):
-            raise DivergenceError(epoch, parts.total)
+            raise DivergenceError(epoch, f"non-finite loss {parts.total!r}")
         history.append(parts)
         grads = grad_w.all_weights() + [grad_mlg.theta, grad_mlg.bias]
-        t = epoch + 1
         for w, g, (m, v) in zip(trained, grads, moments):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1**t)
-            v_hat = v / (1.0 - beta2**t)
-            w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    final = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)[-1]
-    return FitResult(params=params, mlg=mlg, embeddings=final.embedding(), history=history)
+            _adam_step(w, g, m, v, epoch + 1, cfg.learning_rate)
+    return FitResult(params=params, mlg=mlg, embeddings=states[-1].embedding(), history=history)
+
+
+def _adam_step(w, g, m, v, t: int, learning_rate: float) -> None:
+    """One bias-corrected Adam step ``t`` of ``w``, with its moments ``m`` and ``v``, in place."""
+    beta1, beta2 = _ADAM_BETAS
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    w -= learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _backward(
@@ -359,7 +390,9 @@ def _backward(
 def _objective(z, mlg, batch, params, cfg):
     """The loss parts at ``z`` and the gradient at ``z`` and ``mlg``, in one pass.
 
-    Returns ``(parts, dz, grad_mlg)``. ``dz`` is two sparse products. The
+    Returns ``(parts, dz, grad_mlg)``, computed in the dtype of ``z``,
+    which ``dz`` shares. ``mlg`` is read cast to that dtype; the L2 term and
+    ``grad_mlg`` are in ``mlg``'s own. ``dz`` is two sparse products. The
     classifier's share is the per-node sums of ``dlogits`` at each endpoint
     (n x 3 each) through that endpoint's half of ``theta``. A hinge's slack
     ``||z_i - z_j||^2 - ||z_i - z_k||^2`` is a quadratic form in ``z``, so
@@ -372,16 +405,18 @@ def _objective(z, mlg, batch, params, cfg):
     """
     if len(batch.pairs) == 0:
         raise ValueError("batch has no labeled pairs")
+    dtype = z.dtype
     idx_i, idx_j, labels, omega = _pair_columns(batch)
+    omega = omega.astype(dtype, copy=False)
     m, n = len(labels), len(z)
 
     # Classifier term: class-weighted softmax cross-entropy. Each half of
     # theta acts on one endpoint, so the logits are gathered from per-node
     # scores and the pair features are never built.
-    theta_i, theta_j = np.split(mlg.theta, 2, axis=1)
+    theta_i, theta_j = np.split(mlg.theta.astype(dtype, copy=False), 2, axis=1)
     logits = (z @ theta_i.T)[idx_i]
     logits += (z @ theta_j.T)[idx_j]
-    logits += mlg.bias
+    logits += mlg.bias.astype(dtype, copy=False)
     logits -= logits.max(axis=1, keepdims=True)
     exp_logits = np.exp(logits)
     exp_sums = exp_logits.sum(axis=1)
@@ -399,7 +434,7 @@ def _objective(z, mlg, batch, params, cfg):
         c = 2.0 * sign * cfg.margin_weight / len(triplets)
         rows += [j, i, k, k, i, j]
         cols += [j, k, i, k, j, i]
-        coefs.append(np.repeat([c, -c], 3 * len(i)))
+        coefs.append(np.repeat(np.array([c, -c], dtype=dtype), 3 * len(i)))
     margin *= cfg.margin_weight
 
     # L2 term.
@@ -414,11 +449,14 @@ def _objective(z, mlg, batch, params, cfg):
     dlogits *= (omega / m)[:, None]
     # Per-node sums of dlogits: rows 0..n-1 at endpoint i, n..2n-1 at j.
     ends = scipy.sparse.csr_matrix(
-        (np.ones(2 * m), (np.concatenate([idx_i, n + idx_j]), np.tile(np.arange(m), 2))),
+        (
+            np.ones(2 * m, dtype=dtype),
+            (np.concatenate([idx_i, n + idx_j]), np.tile(np.arange(m), 2)),
+        ),
         shape=(2 * n, m),
     )
     sums_i, sums_j = np.split(ends @ dlogits, 2)
-    grad_theta = np.hstack([sums_i.T @ z, sums_j.T @ z])
+    grad_theta = np.hstack([sums_i.T @ z, sums_j.T @ z]).astype(mlg.theta.dtype, copy=False)
     grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
     dz = sums_i @ theta_i
     dz += sums_j @ theta_j
@@ -427,4 +465,4 @@ def _objective(z, mlg, batch, params, cfg):
             (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
         )
         dz += form @ z
-    return parts, dz, MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0))
+    return parts, dz, MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0, dtype=mlg.bias.dtype))

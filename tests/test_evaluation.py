@@ -264,6 +264,25 @@ class TestRunExperiment:
                            hidden_dim=4, train_cfg=cfg)
         assert calls == ["score", ("trim", 0), "score"]
 
+    def test_float32_embeddings_score_as_their_float64_copy(self):
+        # The probe runs in float64 on an exact copy of the fit's float32 output.
+        split = split_train_test(benchmark_graph(), 0.2, seed=0)
+        z32 = np.random.default_rng(3).standard_normal((40, 6)).astype(np.float32)
+        report = evaluation.score_embeddings(z32, split)
+        assert report == evaluation.score_embeddings(z32.astype(np.float64), split)
+
+    def test_held_out_pairs_built_after_the_probe_is_fit(self, monkeypatch):
+        # Their features are then not alive at the probe's peak.
+        calls = []
+        pairs, logreg = evaluation.build_pairs, evaluation.fit_logreg
+        monkeypatch.setattr(evaluation, "build_pairs",
+                            lambda z, edges: calls.append("pairs") or pairs(z, edges))
+        monkeypatch.setattr(evaluation, "fit_logreg",
+                            lambda train: calls.append("probe") or logreg(train))
+        split = split_train_test(benchmark_graph(), 0.2, seed=0)
+        evaluation.score_embeddings(np.random.default_rng(4).standard_normal((40, 6)), split)
+        assert calls == ["pairs", "probe", "pairs"]
+
     def test_feature_cache_reused(self):
         g = benchmark_graph()
         cache = {}

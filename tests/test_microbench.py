@@ -24,7 +24,7 @@ from sgcn.model import (
     neighbor_mean_ops,
 )
 from sgcn.spectral import spectral_embedding
-from sgcn.training import MlgParams, TrainConfig, _backward, fit, sample_batch
+from sgcn.training import _TRAIN_DTYPE, MlgParams, TrainConfig, _backward, fit, sample_batch
 
 pytestmark = [pytest.mark.microbench, pytest.mark.dataset]
 
@@ -36,19 +36,21 @@ DIM = 64
 def alpha():
     """The seed-0 train graph, its features, a 2-layer model's forward pass and a batch.
 
+    ``x``, the operators, the states and ``dz`` are in the precision ``fit``
+    runs its passes in, so each stage times the call ``fit`` makes.
     ``first`` holds the first layer's input blocks ``(P.x, x)`` and ``(N.x, x)``.
     """
     g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
     split, features = split_and_features(g, 0.2, seed=0, dim=DIM)
-    train, x = split.train, model_input(features)
+    train, x = split.train, model_input(features).astype(_TRAIN_DTYPE)
     cfg = SgcnConfig(d_in=DIM)
     params = init_params(cfg, seed=0)
-    ops = neighbor_mean_ops(train)
+    ops = neighbor_mean_ops(train, _TRAIN_DTYPE)
     first = first_layer_inputs(x, ops)
     assert all(own is x for _, own in first)  # the own-state blocks are x, not copies
     states = forward_pass(train, x, params, cfg, ops=ops, first_inputs=first)
     rng = np.random.default_rng(0)
-    dz = rng.standard_normal((train.n, cfg.embedding_dim))
+    dz = rng.standard_normal((train.n, cfg.embedding_dim)).astype(_TRAIN_DTYPE)
     mlg = MlgParams(theta=0.1 * rng.standard_normal((3, 2 * cfg.embedding_dim)),
                     bias=np.zeros(3))
     batch = sample_batch(train, TrainConfig(), 0)

@@ -12,13 +12,22 @@ from sgcn.graph import (
     to_undirected,
 )
 from sgcn import training
-from sgcn.model import SgcnConfig, embed_all, init_params
+from sgcn.evaluation import model_input, split_and_features
+from sgcn.model import (
+    SgcnConfig,
+    backward_pass,
+    embed_all,
+    forward_pass,
+    init_params,
+    neighbor_mean_ops,
+)
 from sgcn.training import (
     DivergenceError,
     MlgParams,
     SamplingError,
     TrainBatch,
     TrainConfig,
+    _backward,
     _objective,
     fit,
     loss_parts,
@@ -537,3 +546,85 @@ class TestFit:
         result = fit(g, x, cfg, sgcn_cfg)
         assert len(result.history) == 7
         assert result.embeddings.shape == (g.n, 4)
+
+
+class TestPrecision:
+    """fit's passes run in float32; its weights, classifier and Adam moments are float64."""
+
+    def test_fit_passes_are_float32_against_float64_masters(self, monkeypatch):
+        seen = []
+        backward, adam_step = training.backward_pass, training._adam_step
+
+        def checked_backward(states, params, sgcn_cfg, dz, ops):
+            assert dz.dtype == np.float32
+            for state in states:
+                assert state.friend.dtype == state.enemy.dtype == np.float32
+                for blocks in state.inputs:
+                    assert all(b is None or b.dtype == np.float32 for b in blocks)
+            assert [op.dtype for op in ops] == [np.float32, np.float32]
+            assert all(w.dtype == np.float64 for w in params.all_weights())
+            grads = backward(states, params, sgcn_cfg, dz, ops)
+            assert all(gw.dtype == np.float64 for gw in grads.all_weights())
+            seen.append("backward")
+            return grads
+
+        def checked_adam_step(w, g, m, v, t, learning_rate):
+            assert w.dtype == g.dtype == m.dtype == v.dtype == np.float64
+            seen.append("adam")
+            adam_step(w, g, m, v, t, learning_rate)
+
+        monkeypatch.setattr(training, "backward_pass", checked_backward)
+        monkeypatch.setattr(training, "_adam_step", checked_adam_step)
+        g = two_cliques(5)
+        x = np.random.default_rng(12).standard_normal((g.n, 4))
+        result = fit(g, x, small_config(batch_nodes=g.n, epochs=3), SgcnConfig(d_in=4, d_hidden=3))
+        # Four layer weights, theta and bias take one Adam step per epoch.
+        assert seen == (["backward"] + ["adam"] * 6) * 3
+        assert result.embeddings.dtype == np.float32
+        masters = result.params.all_weights() + [result.mlg.theta, result.mlg.bias]
+        assert all(w.dtype == np.float64 for w in masters)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_passes_compute_in_the_dtype_of_their_node_arrays(self, model, dtype):
+        # A float64 call is float64 throughout; the weight gradients are in
+        # the weights' own float64 whatever the pass ran in.
+        rng = np.random.default_rng(13)
+        g = random_signed_graph(rng, 12, edge_prob=0.4)
+        sgcn_cfg = SgcnConfig(d_in=3, d_hidden=2, **MODELS[model])
+        params = init_params(sgcn_cfg, 0)
+        mlg = MlgParams(theta=rng.standard_normal((3, 8)), bias=rng.standard_normal(3))
+        cfg = small_config(batch_nodes=12)
+        x = rng.standard_normal((12, 3)).astype(dtype)
+        states = forward_pass(g, x, params, sgcn_cfg)
+        assert all(s.friend.dtype == s.enemy.dtype == dtype for s in states)
+        parts, dz, grad_mlg = _objective(states[-1].embedding(), mlg, sample_batch(g, cfg, 0),
+                                         params, cfg)
+        assert np.isfinite(parts.total) and dz.dtype == dtype
+        assert grad_mlg.theta.dtype == grad_mlg.bias.dtype == np.float64
+        grads = backward_pass(states, params, sgcn_cfg, dz, neighbor_mean_ops(g, dtype))
+        assert all(gw.dtype == np.float64 for gw in grads.all_weights())
+
+    @pytest.mark.dataset
+    def test_float32_gradient_matches_float64_on_bitcoin_alpha(self):
+        g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
+        split, features = split_and_features(g, 0.2, seed=0, dim=64)
+        train, x = split.train, model_input(features)
+        sgcn_cfg, cfg = SgcnConfig(d_in=64), TrainConfig(seed=0)
+        params = init_params(sgcn_cfg, 0)
+        rng = np.random.default_rng(0)
+        mlg = MlgParams(theta=0.1 * rng.standard_normal((3, 2 * sgcn_cfg.embedding_dim)),
+                        bias=0.1 * rng.standard_normal(3))
+        batch = sample_batch(train, cfg, 0)
+        passes = []
+        for dtype in (np.float64, training._TRAIN_DTYPE):
+            ops = neighbor_mean_ops(train, dtype)
+            states = forward_pass(train, x.astype(dtype), params, sgcn_cfg, ops=ops)
+            passes.append(_backward(states, params, mlg, batch, cfg, sgcn_cfg, ops))
+        (parts64, w64, mlg64), (parts32, w32, mlg32) = passes
+        assert parts32.total == pytest.approx(parts64.total, rel=1e-4)
+        exact = w64.all_weights() + [mlg64.theta, mlg64.bias]
+        mixed = w32.all_weights() + [mlg32.theta, mlg32.bias]
+        for e, m in zip(exact, mixed):
+            assert m.dtype == np.float64
+            assert np.abs(m - e).max() <= 1e-3 * np.abs(e).max()
