@@ -39,7 +39,7 @@ __all__ = [
     "write_manifest",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_arrays(path, **arrays) -> None:
@@ -92,7 +92,7 @@ def save_checkpoint(
     which ``eval`` scores without recomputing it. ``split`` holds the
     ``test_fraction``, ``seed`` and ``dataset_sha1`` of the train/test split
     the weights were fit on; ``train_cfg.seed`` is the initialization seed.
-    The format is version 4, and :func:`load_checkpoint` refuses any other.
+    The format is version 5, and :func:`load_checkpoint` refuses any other.
     """
     arrays = {
         "version": np.int64(CHECKPOINT_VERSION),
@@ -113,10 +113,11 @@ def save_checkpoint(
 def load_checkpoint(
     path,
 ) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParams, np.ndarray, dict]:
-    """A version-4 checkpoint as ``(sgcn_cfg, train_cfg, params, mlg, embeddings, split)``.
+    """A version-5 checkpoint as ``(sgcn_cfg, train_cfg, params, mlg, embeddings, split)``.
 
     A checkpoint of any other version is refused before its contents are
-    read: versions up to 3 hold no embeddings.
+    read: versions up to 3 hold no embeddings, and a version-4 sgcn-1+
+    checkpoint holds later weights ``3*d_hidden`` wide.
     """
     data = load_arrays(path)
     version = int(data["version"])

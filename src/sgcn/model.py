@@ -8,23 +8,22 @@ edges, mirroring the reach-set recursion in :mod:`sgcn.balance`: friends of
 friends and enemies of enemies feed the friend track, while friends'
 enemies and enemies' friends feed the enemy track.
 
-Each layer is a table of the blocks each track's weights act on, one
+Each layer reads a table of the blocks each track's weights act on, one
 block per slot. A block applies the positive-neighbor mean ``P``, the
 negative-neighbor mean ``N`` or nothing (the node's own state) to the
-friend state ``F`` or the enemy state ``E``; ``0`` is a zero slot:
+friend state ``F`` or the enemy state ``E``:
 
-    layer                friend input      enemy input
-    first, on (x, x)     [P.F, F]          [N.E, E]
-    later, standard      [P.F, N.E, F]     [P.E, N.F, E]
-    later, plus          [P.F, 0, F]       [0, N.E, E]
+    table                friend input      enemy input
+    sign-separated       [P.F, F]          [N.E, E]
+    crossing             [P.F, N.E, F]     [P.E, N.F, E]
 
-A track's weight matrix is read as column blocks, one per slot, so a
-layer computes ``tanh(sum_b block_b @ W_b.T)`` over its non-zero slots,
-which is ``tanh([blocks] @ W.T)`` without building the concatenation. The
-zero slots keep the plus variant's weight shapes equal to the standard
-ones, so the first layer maps ``2*d_in -> d_hidden`` per track and every
-later layer maps ``3*d_hidden -> d_hidden``. The final embedding is the
-concatenation of both tracks' last-layer states.
+The first layer reads the sign-separated table on ``(x, x)``. Later
+standard layers read the crossing table; the plus variant is the first
+layer's table repeated. A track's weight matrix is read as column blocks,
+one per slot and each as wide as the layer's input, so a layer computes
+``tanh(sum_b block_b @ W_b.T)``, which is ``tanh([blocks] @ W.T)`` without
+building the concatenation. The final embedding is the concatenation of
+both tracks' last-layer states.
 
 A pass computes in the precision of its node arrays: ``x`` for
 :func:`forward_pass`, ``dz`` for :func:`backward_pass`. Float32 stays
@@ -57,17 +56,15 @@ __all__ = [
     "embed_all",
 ]
 
-# The table above, one tuple of blocks per track (friend, enemy). A block is
+# The tables above, one tuple of blocks per track (friend, enemy). A block is
 # (operator, source track): _P and _N index the neighbor_mean_ops pair and
-# _OWN reads the state as is; None is a zero slot. backward_pass relies on
-# every track listing its blocks in the slot order P, N, own.
-_P, _N, _OWN = 0, 1, None
+# _OWN reads the state as is. backward_pass relies on both tracks of a table
+# having as many slots, and on each listing its blocks in the order P, N, own.
+_P, _N, _OWN = 0, 1, 2
 _F, _E = 0, 1
-_FIRST_LAYER = (((_P, _F), (_OWN, _F)), ((_N, _E), (_OWN, _E)))
-_LATER_LAYERS = {
-    "standard": (((_P, _F), (_N, _E), (_OWN, _F)), ((_P, _E), (_N, _F), (_OWN, _E))),
-    "plus": (((_P, _F), None, (_OWN, _F)), (None, (_N, _E), (_OWN, _E))),
-}
+_SPLIT = (((_P, _F), (_OWN, _F)), ((_N, _E), (_OWN, _E)))
+_CROSS = (((_P, _F), (_N, _E), (_OWN, _F)), ((_P, _E), (_N, _F), (_OWN, _E)))
+_LATER_TABLE = {"standard": _CROSS, "plus": _SPLIT}
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,8 @@ class SgcnConfig:
     """Model shape: input width, per-track hidden width, depth, and variant.
 
     ``variant="plus"`` is the ablation that repeats the first layer's
-    sign-separated aggregation instead of crossing tracks; it is only
-    defined at depth 2.
+    sign-separated table instead of crossing tracks; it is only defined at
+    depth 2.
     """
 
     d_in: int
@@ -89,7 +86,7 @@ class SgcnConfig:
             raise ValueError("d_in and d_hidden must be >= 1")
         if self.layers < 1:
             raise ValueError("need at least one layer")
-        if self.variant not in _LATER_LAYERS:
+        if self.variant not in _LATER_TABLE:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "plus" and self.layers != 2:
             raise ValueError("the plus variant is defined only for layers=2")
@@ -103,8 +100,10 @@ class SgcnConfig:
 class SgcnParams:
     """Per-layer weight matrices for the friend and enemy tracks.
 
-    ``w_friend[0]`` and ``w_enemy[0]`` are ``d_hidden x 2*d_in``; all later
-    entries are ``d_hidden x 3*d_hidden``.
+    Each is ``d_hidden`` rows by one column block per slot of its layer's
+    table, each block as wide as the layer's input: ``w_friend[0]`` and
+    ``w_enemy[0]`` are ``d_hidden x 2*d_in``, later entries ``d_hidden x
+    3*d_hidden`` (standard) or ``d_hidden x 2*d_hidden`` (plus).
     """
 
     w_friend: list[np.ndarray]
@@ -118,14 +117,14 @@ class LayerState(NamedTuple):
     """Hidden matrices (n x d_hidden) of both tracks at one layer.
 
     ``inputs`` holds the friend and enemy input blocks the weights acted on,
-    one per table slot and ``None`` for a zero slot, which
-    :func:`backward_pass` reads; it is ``None`` for the features.
-    :meth:`embedding` is the one place that lays the tracks side by side.
+    one per table slot, which :func:`backward_pass` reads; it is ``None``
+    for the features. :meth:`embedding` is the one place that lays the
+    tracks side by side.
     """
 
     friend: np.ndarray
     enemy: np.ndarray
-    inputs: tuple[tuple[np.ndarray | None, ...], tuple[np.ndarray | None, ...]] | None = None
+    inputs: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
 
     def embedding(self) -> np.ndarray:
         """The ``n x 2*d_hidden`` embedding ``[friend | enemy]`` of this layer."""
@@ -135,13 +134,12 @@ class LayerState(NamedTuple):
 def init_params(cfg: SgcnConfig, seed: int) -> SgcnParams:
     """Draw each weight uniformly on [-s, s] with s = sqrt(6 / (fan_in + fan_out))."""
     rng = np.random.default_rng(seed)
-    w_friend, w_enemy = [], []
-    for layer in range(cfg.layers):
-        fan_in = 2 * cfg.d_in if layer == 0 else 3 * cfg.d_hidden
-        scale = np.sqrt(6.0 / (fan_in + cfg.d_hidden))
-        w_friend.append(rng.uniform(-scale, scale, size=(cfg.d_hidden, fan_in)))
-        w_enemy.append(rng.uniform(-scale, scale, size=(cfg.d_hidden, fan_in)))
-    return SgcnParams(w_friend=w_friend, w_enemy=w_enemy)
+    params = SgcnParams(w_friend=[], w_enemy=[])
+    tracks = (params.w_friend, params.w_enemy)
+    for _, track, (fan_out, fan_in) in _weight_shapes(cfg, cfg.d_in):
+        scale = np.sqrt(6.0 / (fan_in + fan_out))
+        tracks[track].append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
+    return params
 
 
 def neighbor_mean_ops(
@@ -172,7 +170,7 @@ def first_layer_inputs(
     """
     x = _float_array(x)
     features = LayerState(friend=x, enemy=x)
-    return tuple(_input_blocks(blocks, features, ops) for blocks in _FIRST_LAYER)
+    return tuple(_input_blocks(blocks, features, ops) for blocks in _SPLIT)
 
 
 def forward_pass(
@@ -185,12 +183,14 @@ def forward_pass(
 ) -> list[LayerState]:
     """Run all layers and return every intermediate :class:`LayerState`.
 
-    Each track's pre-activation sums ``block @ W_b.T`` over the non-zero
-    blocks of its table row, ``W_b`` being the slot's columns of the weights.
+    Each track's pre-activation sums ``block @ W_b.T`` over the blocks of
+    its table row, ``W_b`` being the slot's columns of the weights.
     ``ops`` may carry the pair from :func:`neighbor_mean_ops` and
     ``first_inputs`` the blocks from :func:`first_layer_inputs` of ``x`` to
     skip rebuilding them, e.g. across training epochs on a fixed graph;
     both in the precision of ``x``. The states are in that precision.
+    Raises ``ValueError`` unless every weight has the shape its layer's
+    table gives it for an input as wide as ``x``.
     """
     x = _float_array(x)
     if x.ndim != 2 or x.shape[0] != g.n:
@@ -199,19 +199,19 @@ def forward_pass(
         raise ValueError(
             f"params carry {len(params.w_friend)} layers, config asks for {cfg.layers}"
         )
-    if params.w_friend[0].shape[1] != 2 * x.shape[1]:
-        raise ValueError(
-            f"layer-1 weights expect input width {params.w_friend[0].shape[1] // 2}, "
-            f"got {x.shape[1]}"
-        )
+    for layer, track, shape in _weight_shapes(cfg, x.shape[1]):
+        w = (params.w_friend, params.w_enemy)[track][layer]
+        if w.shape != shape:
+            raise ValueError(
+                f"layer-{layer + 1} {('friend', 'enemy')[track]} weights are {w.shape}, "
+                f"expected {shape} for input width {x.shape[1]}"
+            )
     ops = ops if ops is not None else neighbor_mean_ops(g, x.dtype)
     inputs = first_inputs if first_inputs is not None else first_layer_inputs(x, ops)
     states = []
     for layer in range(cfg.layers):
         if layer:
-            inputs = tuple(
-                _input_blocks(blocks, states[-1], ops) for blocks in _LATER_LAYERS[cfg.variant]
-            )
+            inputs = tuple(_input_blocks(blocks, states[-1], ops) for blocks in _table(cfg, layer))
         friend, enemy = (
             _activate(blocks, w[layer].astype(x.dtype, copy=False))
             for blocks, w in zip(inputs, (params.w_friend, params.w_enemy))
@@ -231,13 +231,12 @@ def backward_pass(
 
     ``states`` and ``ops`` are those :func:`forward_pass` returned and used,
     and ``dz`` is the objective's gradient at the last layer's
-    :meth:`LayerState.embedding`. Reverse mode through the same
-    layer tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``
-    (zero for a zero slot), and each block's gradient ``d_pre @ W_b`` goes
-    back through the transpose of its operator to the track it was read
-    from. The pass runs in the precision of ``dz``, which ``states`` and
-    ``ops`` share; each weight gradient is written into an array of its
-    weight's dtype.
+    :meth:`LayerState.embedding`. Reverse mode through the same layer
+    tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``, and
+    each block's gradient ``d_pre @ W_b`` goes back through the transpose of
+    its operator to the track it was read from. The pass runs in the
+    precision of ``dz``, which ``states`` and ``ops`` share; each weight
+    gradient is written into an array of its weight's dtype.
     """
     h = cfg.d_hidden
     masters = (params.w_friend, params.w_enemy)
@@ -251,21 +250,17 @@ def backward_pass(
             grad = grads[track][layer] = np.zeros_like(masters[track][layer])
             blocks = states[layer].inputs[track]
             for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
-                if block is not None:
-                    columns[...] = d_pre[track].T @ block
+                columns[...] = d_pre[track].T @ block
         if layer == 0:
             break  # the features x are not trained
-        table = _LATER_LAYERS[cfg.variant]
+        table = _table(cfg, layer)
         slots = [np.split(weights[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
         # Slot by slot, so each track sums its P, N and own parts in that order.
         g_state = [None, None]
         for slot, column in enumerate(zip(*table)):
-            for track, block in enumerate(column):
-                if block is None:
-                    continue
-                op, source = block
+            for track, (op, source) in enumerate(column):
                 part = d_pre[track] @ slots[track][slot]
-                if op is not _OWN:
+                if op != _OWN:
                     part = ops[op].T @ part
                 g_state[source] = part if g_state[source] is None else g_state[source] + part
     return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
@@ -282,28 +277,29 @@ def _float_array(a) -> np.ndarray:
     return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
-def _input_blocks(blocks, state: LayerState, ops) -> tuple[np.ndarray | None, ...]:
-    """One track's input blocks read off ``state``, in slot order; ``None`` for a zero slot."""
-    read = []
-    for block in blocks:
-        if block is None:
-            read.append(None)
-            continue
-        op, source = block
-        read.append(state[source] if op is _OWN else ops[op] @ state[source])
-    return tuple(read)
+def _table(cfg: SgcnConfig, layer: int):
+    """The table ``layer`` reads: the sign-separated one first, then the variant's."""
+    return _SPLIT if layer == 0 else _LATER_TABLE[cfg.variant]
+
+
+def _weight_shapes(cfg: SgcnConfig, d_in: int):
+    """``(layer, track, shape)`` of every weight in draw order, for an input ``d_in`` wide."""
+    for layer in range(cfg.layers):
+        width = d_in if layer == 0 else cfg.d_hidden
+        for track, row in enumerate(_table(cfg, layer)):
+            yield layer, track, (cfg.d_hidden, len(row) * width)
+
+
+def _input_blocks(blocks, state: LayerState, ops) -> tuple[np.ndarray, ...]:
+    """One track's input blocks read off ``state``, in slot order."""
+    return tuple(state[source] if op == _OWN else ops[op] @ state[source] for op, source in blocks)
 
 
 def _activate(blocks, w: np.ndarray) -> np.ndarray:
-    """``tanh([blocks] @ w.T)``, summed slot by slot over the non-zero blocks."""
-    pre = None
-    for block, columns in zip(blocks, np.split(w, len(blocks), axis=1)):
-        if block is None:
-            continue
-        part = block @ columns.T
-        if pre is None:
-            pre = part
-        else:
-            pre += part
+    """``tanh([blocks] @ w.T)``, summed slot by slot."""
+    slots = np.split(w, len(blocks), axis=1)
+    pre = blocks[0] @ slots[0].T
+    for block, columns in zip(blocks[1:], slots[1:]):
+        pre += block @ columns.T
     return np.tanh(pre, out=pre)
 

@@ -25,8 +25,26 @@ def negative_path():
 
 
 def standard_config(cfg):
-    """The standard variant at the shapes of ``cfg``, so it takes the same weights."""
+    """The standard variant at the sizes of ``cfg``."""
     return SgcnConfig(d_in=cfg.d_in, d_hidden=cfg.d_hidden, layers=cfg.layers)
+
+
+def standard_params(params, seed):
+    """Plus ``params`` with a random N-slot block in each later weight.
+
+    The block goes between the P and own blocks, where the standard
+    variant reads its N slot, so that variant takes the weights.
+    """
+    rng = np.random.default_rng(seed)
+
+    def widened(w):
+        h = w.shape[0]
+        return np.hstack([w[:, :h], rng.standard_normal((h, h)), w[:, h:]])
+
+    return SgcnParams(
+        w_friend=[params.w_friend[0], *map(widened, params.w_friend[1:])],
+        w_enemy=[params.w_enemy[0], *map(widened, params.w_enemy[1:])],
+    )
 
 
 class TestConfig:
@@ -53,20 +71,23 @@ class TestInitParams:
             assert np.array_equal(wa, wb)
 
     def test_shapes(self):
-        cfg = SgcnConfig(d_in=64, d_hidden=32, layers=2)
-        params = init_params(cfg, seed=0)
-        assert params.w_friend[0].shape == (32, 128)
-        assert params.w_friend[1].shape == (32, 96)
-        assert params.w_enemy[0].shape == (32, 128)
-        assert params.w_enemy[1].shape == (32, 96)
+        # A later plus layer reads the first layer's two-slot table.
+        for variant, later_width in (("standard", 96), ("plus", 64)):
+            cfg = SgcnConfig(d_in=64, d_hidden=32, layers=2, variant=variant)
+            params = init_params(cfg, seed=0)
+            assert params.w_friend[0].shape == (32, 128)
+            assert params.w_friend[1].shape == (32, later_width)
+            assert params.w_enemy[0].shape == (32, 128)
+            assert params.w_enemy[1].shape == (32, later_width)
 
     def test_entries_within_uniform_bound(self):
-        cfg = SgcnConfig(d_in=6, d_hidden=3, layers=3)
-        params = init_params(cfg, seed=5)
-        for layer, w in enumerate(params.w_friend):
-            fan_in = 2 * 6 if layer == 0 else 3 * 3
-            bound = np.sqrt(6.0 / (fan_in + 3))
-            assert np.abs(w).max() <= bound
+        for variant, layers, later_fan_in in (("standard", 3, 3 * 3), ("plus", 2, 2 * 3)):
+            cfg = SgcnConfig(d_in=6, d_hidden=3, layers=layers, variant=variant)
+            params = init_params(cfg, seed=5)
+            for layer, w in enumerate(params.w_friend):
+                fan_in = 2 * 6 if layer == 0 else later_fan_in
+                bound = np.sqrt(6.0 / (fan_in + 3))
+                assert np.abs(w).max() <= bound
 
 
 class TestForwardLayer1:
@@ -167,7 +188,8 @@ class TestPlusVariant:
         params = init_params(cfg, seed=5)
         x = np.random.default_rng(2).standard_normal((4, 2))
         plus = forward_pass(g, x, params, cfg)[1]
-        standard = forward_pass(g, x, params, standard_config(cfg))[1]
+        # The N slot reads only zero rows here, whatever its weights.
+        standard = forward_pass(g, x, standard_params(params, 5), standard_config(cfg))[1]
         assert plus.friend == pytest.approx(standard.friend)
 
     def test_no_negative_neighbors_reduces_to_self_slot(self):
@@ -177,7 +199,7 @@ class TestPlusVariant:
         x = np.random.default_rng(3).standard_normal((3, 2))
         state1, plus = forward_pass(g, x, params, cfg)
         h = cfg.d_hidden
-        inputs = np.hstack([np.zeros((3, h)), np.zeros((3, h)), state1.enemy])
+        inputs = np.hstack([np.zeros((3, h)), state1.enemy])
         assert plus.enemy == pytest.approx(np.tanh(inputs @ params.w_enemy[1].T))
 
     def test_keeps_each_sign_on_its_own_track(self):
@@ -191,17 +213,15 @@ class TestPlusVariant:
         from sgcn.model import neighbor_mean_ops
 
         pos_mean, neg_mean = neighbor_mean_ops(g)
-        h = cfg.d_hidden
-        zero = np.zeros((3, h))
         # Friend track: positive-neighbor means twice over, no enemy input.
-        friend_in = np.hstack([pos_mean @ state1.friend, zero, state1.friend])
+        friend_in = np.hstack([pos_mean @ state1.friend, state1.friend])
         # Enemy track: negative-neighbor means of enemy states, no crossing.
-        enemy_in = np.hstack([zero, neg_mean @ state1.enemy, state1.enemy])
+        enemy_in = np.hstack([neg_mean @ state1.enemy, state1.enemy])
         assert plus.friend == pytest.approx(np.tanh(friend_in @ params.w_friend[1].T))
         assert plus.enemy == pytest.approx(np.tanh(enemy_in @ params.w_enemy[1].T))
         # On this mixed-sign instance the standard layer disagrees on both
         # tracks: the cross-track slots carry information the plus drops.
-        standard = forward_pass(g, x, params, standard_config(cfg))[1]
+        standard = forward_pass(g, x, standard_params(params, 7), standard_config(cfg))[1]
         assert np.abs(standard.friend - plus.friend).max() > 1e-9
         assert np.abs(standard.enemy - plus.enemy).max() > 1e-9
 
@@ -326,10 +346,18 @@ class TestEmbedAll:
         x = rng.standard_normal((8, 3))
         assert np.array_equal(embed_all(g, x, params, cfg), embed_all(g, x, params, cfg))
 
-    def test_layer_count_mismatch(self):
+    @pytest.mark.parametrize(
+        "drawn, asked, message",
+        [
+            (dict(layers=2), dict(layers=3), "params carry 2 layers, config asks for 3"),
+            (dict(d_hidden=4), dict(d_hidden=3), r"layer-1 friend weights are \(4, 4\)"),
+            (dict(variant="plus"), dict(), r"layer-2 friend weights are \(2, 4\)"),
+        ],
+        ids=["layer-count", "hidden-width", "plus-under-standard"],
+    )
+    def test_weight_shape_mismatch(self, drawn, asked, message):
         g = mixed_path()
-        cfg2 = SgcnConfig(d_in=2, d_hidden=2, layers=2)
-        cfg3 = SgcnConfig(d_in=2, d_hidden=2, layers=3)
-        params = init_params(cfg2, seed=0)
-        with pytest.raises(ValueError):
-            embed_all(g, np.zeros((3, 2)), params, cfg3)
+        base = dict(d_in=2, d_hidden=2, layers=2)
+        params = init_params(SgcnConfig(**{**base, **drawn}), seed=0)
+        with pytest.raises(ValueError, match=message):
+            embed_all(g, np.zeros((3, 2)), params, SgcnConfig(**{**base, **asked}))
