@@ -5,9 +5,9 @@ classifier) from the remaining 80%, then ask a fresh logistic regression
 over concatenated node embeddings to predict the held-out signs. AUC is
 threshold-free ranking quality; F1 scores the positive class at 0.5.
 
-One seed per method to keep the demo short (~3 minutes); the acceptance
-suite in tests/test_acceptance.py runs the five-seed version. Run from the
-repository root:
+One seed per method to keep the demo short (about 35-40 s at 1 BLAS thread
+on a two-core machine); the acceptance suite in tests/test_acceptance.py
+runs the five-seed version. Run from the repository root:
 
     python demos/link_sign_benchmark.py
 """

@@ -8,7 +8,8 @@ embedding toward three goals at once: classify node pairs as
 positive/negative/unlinked, order distances so friends sit closer than
 strangers and strangers closer than enemies, and stay small.
 
-Takes roughly a minute on a laptop. Run from the repository root:
+Takes about 3 seconds at 1 BLAS thread on a two-core machine. Run from the
+repository root:
 
     python demos/train_two_track_model.py
 """

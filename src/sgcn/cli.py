@@ -3,9 +3,12 @@
 Subcommands cover the whole pipeline: ``ingest`` (parse + compact a raw
 edge list), ``sse`` (spectral embedding), ``train`` (fit the two-track
 model), ``eval`` (link-sign prediction report), ``triangles`` (balance
-census), and ``sweep-lambda`` (margin-weight sensitivity). Every command
-writes its artifacts plus a manifest holding its flags and the content
-hashes of the inputs, and removes partial outputs on failure.
+census), and ``sweep-lambda`` (margin-weight sensitivity). Each command
+names every file it writes through ``emit``; once it returns, :func:`main`
+writes its manifest: the flags, the content hashes of the inputs and those
+files in write order. On any failure the files written so far are removed.
+``train`` records its split and model in the checkpoint as one protocol
+dict, and ``eval`` checks its own command line against that dict.
 """
 
 from __future__ import annotations
@@ -13,16 +16,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as artifacts
 from .balance import triangle_census
-from .evaluation import (DEFAULT_DIM, DEFAULT_TEST_FRACTION, METHODS, MODEL_METHODS,
-                         feature_dim, model_input, run_experiment, score_embeddings,
-                         sgcn_config_for, split_and_features)
+from .evaluation import (DEFAULT_DIM, DEFAULT_TEST_FRACTION, METHODS, feature_dim,
+                         model_input, run_experiment, score_embeddings, sgcn_config_for,
+                         split_and_features)
 from .graph import FORMATS, load_edge_list, split_train_test, to_undirected
 from .model import SgcnConfig
 from .spectral import spectral_embedding
@@ -45,7 +48,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     def emit(name: str) -> Path:
@@ -54,7 +56,13 @@ def main(argv: list[str] | None = None) -> int:
         return path
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         args.handler(args, emit)
+        # The manifest lists the files the command emitted, in write order.
+        outputs = list(written)
+        config = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
+        manifest = emit(f"{args.command.replace('-', '_')}_manifest.json")
+        artifacts.write_manifest(manifest, args.command, config, [args.dataset], outputs)
     except Exception as exc:  # surface the message, clean partial outputs
         for path in written:
             path.unlink(missing_ok=True)
@@ -150,7 +158,6 @@ def _cmd_ingest(args, emit):
     graph = _ingest(args)
     artifacts.save_graph(emit("graph.npz"), graph)
     artifacts.write_id_map(emit("id_map.csv"), graph)
-    _manifest(args, emit, "ingest", ["graph.npz", "id_map.csv"])
     print(
         f"nodes={graph.n} positive_edges={graph.num_pos_edges} "
         f"negative_edges={graph.num_neg_edges}"
@@ -161,7 +168,6 @@ def _cmd_sse(args, emit):
     graph = _ingest(args)
     z = spectral_embedding(graph, feature_dim(graph, args.dim))
     artifacts.write_embedding_csv(emit("embeddings.csv"), z, graph)
-    _manifest(args, emit, "sse", ["embeddings.csv"])
     print(f"wrote {z.shape[0]}x{z.shape[1]} embedding")
 
 
@@ -179,13 +185,10 @@ def _cmd_train(args, emit):
         result.params,
         result.mlg,
         result.embeddings,
-        _split_of(args),
+        _protocol_of(args, graph),
     )
     artifacts.write_loss_history(emit("loss_history.csv"), result.history)
     artifacts.write_embedding_csv(emit("embeddings.csv"), result.embeddings, split.train)
-    _manifest(
-        args, emit, "train", ["checkpoint.npz", "loss_history.csv", "embeddings.csv"]
-    )
     if result.history:
         first, last = result.history[0].total, result.history[-1].total
         print(f"trained {args.method}: loss {first:.4f} -> {last:.4f}")
@@ -204,31 +207,18 @@ def _cmd_eval(args, emit):
     report = score_embeddings(z, split)
     row = _report_row(args.dataset, args.method, args.seed, report)
     artifacts.write_report_rows(emit("report.csv"), [row])
-    _manifest(args, emit, "eval", ["report.csv"])
     print(f"{args.method} seed={args.seed} auc={report.auc:.4f} f1={report.f1:.4f}")
 
 
 def _trained_embeddings(args, graph):
-    """The embeddings ``train`` stored, once the checkpoint's split and model match the command line."""
+    """The embeddings ``train`` stored, once the checkpoint's protocol matches the command line's."""
     checkpoint = Path(args.checkpoint or (Path(args.out) / "checkpoint.npz"))
     if not checkpoint.exists():
         raise FileNotFoundError(f"no checkpoint at {checkpoint}; run the train command first")
     sgcn_cfg, _, _, _, embeddings, trained_on = artifacts.load_checkpoint(checkpoint)
-    trained_on["method"] = next(
-        (m for m in MODEL_METHODS
-         if sgcn_config_for(m, sgcn_cfg.d_in, sgcn_cfg.d_hidden) == sgcn_cfg),
-        sgcn_cfg,
-    )
-    trained_on["dim"], trained_on["hidden_dim"] = sgcn_cfg.d_in, sgcn_cfg.d_hidden
     # Any other split would hold out edges the weights were fit on, and
     # any other method or width would name the wrong model in the report.
-    given = {
-        **_split_of(args),
-        "method": args.method,
-        "dim": feature_dim(graph, args.dim),
-        "hidden_dim": args.hidden_dim,
-    }
-    for key, value in given.items():
+    for key, value in _protocol_of(args, graph).items():
         if trained_on[key] != value:
             raise ValueError(
                 f"checkpoint was trained with {key}={trained_on[key]!r}, "
@@ -247,7 +237,6 @@ def _cmd_triangles(args, emit):
     graph = _ingest(args)
     census = triangle_census(graph)
     artifacts.write_census(emit("triangles.csv"), census)
-    _manifest(args, emit, "triangles", ["triangles.csv"])
     print(
         f"balanced={census.balanced} unbalanced={census.unbalanced} "
         f"total={census.total}"
@@ -281,7 +270,6 @@ def _cmd_sweep(args, emit):
             print(f"lambda={lam:g} seed={seed} auc={report.auc:.4f} f1={report.f1:.4f}")
     artifacts.write_report_rows(emit("report.csv"), rows)
     artifacts.write_aggregate_report(emit("aggregate.csv"), rows)
-    _manifest(args, emit, "sweep-lambda", ["report.csv", "aggregate.csv"])
 
 
 def _listed(text: str, kind, flag: str) -> list:
@@ -312,40 +300,20 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(seed=args.seed, **given)
 
 
-def _split_of(args) -> dict:
-    """The train/test split the command line asks for, as checkpoints record it."""
+def _protocol_of(args, graph) -> dict:
+    """The split and model the command line asks for, as checkpoints record them."""
     return {
         "test_fraction": args.test_fraction,
         "seed": args.seed,
         "dataset_sha1": artifacts.git_blob_sha1(args.dataset),
+        "method": args.method,
+        "dim": feature_dim(graph, args.dim),
+        "hidden_dim": args.hidden_dim,
     }
 
 
 def _report_row(dataset: str, method, seed, report) -> dict:
-    return {
-        "dataset": Path(dataset).stem,
-        "method": method,
-        "seed": seed,
-        "auc": report.auc,
-        "f1": report.f1,
-        "n_test_pos": report.n_test_pos,
-        "n_test_neg": report.n_test_neg,
-    }
-
-
-def _manifest(args, emit, command: str, outputs: list[str]) -> None:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler",) and not callable(v)
-    }
-    artifacts.write_manifest(
-        emit(f"{command.replace('-', '_')}_manifest.json"),
-        command,
-        config,
-        inputs=[args.dataset],
-        outputs=outputs,
-    )
+    return {"dataset": Path(dataset).stem, "method": method, "seed": seed, **asdict(report)}
 
 
 if __name__ == "__main__":

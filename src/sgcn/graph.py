@@ -168,8 +168,8 @@ def load_edge_list(path, format: str) -> np.ndarray:
     """Parse the directed signed edge-list file at ``path`` into an ``(R, 3)`` int64 array.
 
     Each row is one record ``(u, v, sign)`` in file order, with the raw node
-    ids as written. The file is read as UTF-8 text. The two :data:`FORMATS`
-    are:
+    ids as written. The file is read as UTF-8 text; a byte-order mark at its
+    start is skipped. The two :data:`FORMATS` are:
 
     * ``weighted-csv`` -- comma-separated ``SOURCE,TARGET,RATING[,TIME,...]``
       lines (the Bitcoin trust-network export format). The rating's sign
@@ -189,7 +189,7 @@ def load_edge_list(path, format: str) -> np.ndarray:
     layout = "u<TAB>v<TAB>sign" if tsv else "SOURCE,TARGET,RATING[,...]"
     low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     records: list[int] = []
-    with open(path, "r", encoding="utf-8") as text:
+    with open(path, "r", encoding="utf-8-sig") as text:
         for line_no, raw_line in enumerate(text, start=1):
             line = raw_line.strip()
             if not line or (tsv and line.startswith("#")):

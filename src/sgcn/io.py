@@ -39,7 +39,7 @@ __all__ = [
     "write_manifest",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def save_arrays(path, **arrays) -> None:
@@ -84,21 +84,24 @@ def save_checkpoint(
     params: SgcnParams,
     mlg: MlgParams,
     embeddings: np.ndarray,
-    split: dict,
+    protocol: dict,
 ) -> None:
     """Bundle configs, every weight matrix, the classifier parameters and the embeddings.
 
     ``embeddings`` is the ``n x 2*d_hidden`` matrix the fit ended with,
-    which ``eval`` scores without recomputing it. ``split`` holds the
+    which ``eval`` scores without recomputing it. ``protocol`` is the
+    command line's link-sign protocol as ``eval`` checks it: the
     ``test_fraction``, ``seed`` and ``dataset_sha1`` of the train/test split
-    the weights were fit on; ``train_cfg.seed`` is the initialization seed.
-    The format is version 5, and :func:`load_checkpoint` refuses any other.
+    the weights were fit on, and the ``method``, feature width ``dim`` and
+    ``hidden_dim`` of the model; ``train_cfg.seed`` is the initialization
+    seed. The format is version 6, and :func:`load_checkpoint` refuses any
+    other.
     """
     arrays = {
         "version": np.int64(CHECKPOINT_VERSION),
         "sgcn_cfg": _json_array(asdict(sgcn_cfg)),
         "train_cfg": _json_array(asdict(train_cfg)),
-        "split": _json_array(split),
+        "protocol": _json_array(protocol),
         "mlg_theta": mlg.theta,
         "mlg_bias": mlg.bias,
         "embeddings": embeddings,
@@ -113,11 +116,13 @@ def save_checkpoint(
 def load_checkpoint(
     path,
 ) -> tuple[SgcnConfig, TrainConfig, SgcnParams, MlgParams, np.ndarray, dict]:
-    """A version-5 checkpoint as ``(sgcn_cfg, train_cfg, params, mlg, embeddings, split)``.
+    """A version-6 checkpoint as ``(sgcn_cfg, train_cfg, params, mlg, embeddings, protocol)``.
 
-    A checkpoint of any other version is refused before its contents are
-    read: versions up to 3 hold no embeddings, and a version-4 sgcn-1+
-    checkpoint holds later weights ``3*d_hidden`` wide.
+    ``protocol`` is the dict :func:`save_checkpoint` was given. A
+    checkpoint of any other version is refused before its contents are
+    read: versions up to 3 hold no embeddings, a version-4 sgcn-1+
+    checkpoint holds later weights ``3*d_hidden`` wide, and a version-5 one
+    records only the split, not the method and widths.
     """
     data = load_arrays(path)
     version = int(data["version"])
@@ -131,7 +136,7 @@ def load_checkpoint(
         w_enemy=[data[f"w_enemy_{i}"] for i in range(layers)],
     )
     mlg = MlgParams(theta=data["mlg_theta"], bias=data["mlg_bias"])
-    return sgcn_cfg, train_cfg, params, mlg, data["embeddings"], _json_value(data["split"])
+    return sgcn_cfg, train_cfg, params, mlg, data["embeddings"], _json_value(data["protocol"])
 
 
 def write_loss_history(path, history: list[LossParts]) -> None:

@@ -357,6 +357,58 @@ class TestOutputDirEnv:
         assert run(["ingest", "--dataset", dataset]) == 0
         assert (target / "graph.npz").exists()
 
+    def test_out_that_is_a_file_is_an_error_line(self, dataset, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run(["ingest", "--dataset", dataset, "--out", taken]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == "not a directory\n"
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "command, flags, outputs",
+        [
+            ("ingest", [], ["graph.npz", "id_map.csv"]),
+            ("triangles", [], ["triangles.csv"]),
+            ("sse", ["--dim", "8"], ["embeddings.csv"]),
+            ("train", ["--method", "sgcn-2", *FAST_TRAIN],
+             ["checkpoint.npz", "loss_history.csv", "embeddings.csv"]),
+            ("eval", ["--method", "sgcn-2", *SHAPE], ["report.csv"]),
+            ("sweep-lambda", ["--method", "sgcn-1", "--lambdas", "0,1", *FAST_TRAIN],
+             ["report.csv", "aggregate.csv"]),
+        ],
+        ids=["ingest", "triangles", "sse", "train", "eval", "sweep-lambda"],
+    )
+    def test_outputs_are_the_files_written_in_order(self, dataset, tmp_path, monkeypatch,
+                                                    command, flags, outputs):
+        if command == "eval":
+            trained = tmp_path / "trained"
+            assert run(["train", "--dataset", dataset, "--method", "sgcn-2", "--out", trained,
+                        *FAST_TRAIN]) == 0
+            flags = [*flags, "--checkpoint", trained / "checkpoint.npz"]
+        # Every artifact goes through a save_ or write_ function of sgcn.io;
+        # save_arrays is the npz writer the other save_ functions call.
+        written = []
+        for name in artifacts.__all__:
+            if (name.startswith(("save_", "write_"))
+                    and name not in ("save_arrays", "write_manifest")):
+                original = getattr(artifacts, name)
+
+                def record(path, *args, _original=original, **kwargs):
+                    written.append(Path(path).name)
+                    return _original(path, *args, **kwargs)
+
+                monkeypatch.setattr(artifacts, name, record)
+        out = tmp_path / "out"
+        assert run([command, "--dataset", dataset, "--out", out, *flags]) == 0
+        manifest_name = f"{command.replace('-', '_')}_manifest.json"
+        manifest = json.loads((out / manifest_name).read_text())
+        assert manifest["command"] == command
+        assert manifest["outputs"] == written == outputs
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, manifest_name])
+
 
 @pytest.mark.dataset
 class TestBundledDatasets:

@@ -102,14 +102,25 @@ class TestLoadEdgeList:
         ("signed-tsv", "\u0665\t2\t1"),
         ("signed-tsv", "1\t2_0\t-1"),
         ("signed-tsv", "1\t2\t\u0661"),
+        # A byte-order mark is skipped at the start of the file only.
+        ("weighted-csv", "\ufeff1,2,5"),
+        ("signed-tsv", "\ufeff1\t2\t1"),
     ], ids=["csv-underscored-id", "csv-full-width-id", "csv-underscored-rating",
             "csv-arabic-indic-rating", "tsv-arabic-indic-id", "tsv-underscored-id",
-            "tsv-arabic-indic-sign"])
+            "tsv-arabic-indic-sign", "csv-mid-file-bom", "tsv-mid-file-bom"])
     def test_underscored_or_non_ascii_numeral_names_its_line(self, tmp_path, format, line):
         first = "1,2,5" if format == "weighted-csv" else "1\t2\t1"
         with pytest.raises(ParseError, match="non-ASCII") as exc:
             parse(tmp_path, f"{first}\n{line}\n".encode(), format)
         assert exc.value.line_no == 2
+
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    @pytest.mark.parametrize("format,data,records", [
+        ("weighted-csv", b"\xef\xbb\xbf1,2,5,0\n3,4,-1,0\n", [[1, 2, 1], [3, 4, -1]]),
+        ("signed-tsv", b"\xef\xbb\xbf# a comment\n1\t2\t1\n", [[1, 2, 1]]),
+    ], ids=["weighted-csv", "signed-tsv"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, format, data, records):
+        assert parse(tmp_path, data, format) == records
 
     def test_columns_after_the_rating_are_not_numerals(self, tmp_path):
         assert parse(tmp_path, "1,2,5,\u00e9t\u00e9_1\n".encode()) == [[1, 2, 1]]

@@ -95,21 +95,24 @@ def test_version_2_checkpoint_refused(tmp_path):
         artifacts.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("version", [3, 4, 5])
 def test_older_checkpoint_version_refused(tmp_path, version):
     # Version 3 stored no embeddings, which eval now scores in place of a
     # second forward pass. Versions 3 and 4 gave an sgcn-1+ later layer
-    # 3*d_hidden-wide weights, a third of them acting on nothing. The
+    # 3*d_hidden-wide weights, a third of them acting on nothing. Versions
+    # up to 5 recorded the split alone, without the method and widths. The
     # version check must come first.
     sgcn_cfg = SgcnConfig(d_in=2, d_hidden=2, layers=2, variant="plus")
     path = tmp_path / "checkpoint.npz"
     artifacts.save_checkpoint(path, sgcn_cfg, TrainConfig(), init_params(sgcn_cfg, 0),
                               MlgParams.zeros(4), np.zeros((3, 4)), {})
     arrays = artifacts.load_arrays(path)
+    arrays["split"] = arrays.pop("protocol")
     if version == 3:
         del arrays["embeddings"]
-    arrays.update(version=np.int64(version), w_friend_1=np.zeros((2, 6)),
-                  w_enemy_1=np.zeros((2, 6)))
+    if version < 5:
+        arrays.update(w_friend_1=np.zeros((2, 6)), w_enemy_1=np.zeros((2, 6)))
+    arrays["version"] = np.int64(version)
     artifacts.save_arrays(path, **arrays)
     with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
         artifacts.load_checkpoint(path)
