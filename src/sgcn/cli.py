@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=os.environ.get(_OUT_ENV, "sgcn-out"),
             help=f"output directory (default: ${_OUT_ENV} or ./sgcn-out)",
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.set_defaults(handler=handler)
         return p
 
@@ -248,7 +248,7 @@ def _cmd_sweep(args, emit):
     # Each weight's settings are checked here, before the first run.
     configs = [replace(train_cfg, margin_weight=lam)
                for lam in _listed(args.lambdas, float, "--lambdas")]
-    seeds = [args.seed] if args.seeds is None else _listed(args.seeds, int, "--seeds")
+    seeds = [args.seed] if args.seeds is None else _listed(args.seeds, _seed, "--seeds")
     graph = _ingest(args)
     cache: dict = {}
     rows = []
@@ -279,13 +279,23 @@ def _listed(text: str, kind, flag: str) -> list:
     after parsing (``1,1.0`` repeats 1): it would add a second, identical
     run and count it as another seed.
     """
-    values = [kind(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
+    except argparse.ArgumentTypeError as exc:  # a refused seed, named by its flag
+        raise ValueError(f"{flag}: {exc}") from None
     if not values:
         raise ValueError(f"{flag} lists no values")
     for at, value in enumerate(values):
         if value in values[:at]:
             raise ValueError(f"{flag} lists {value:g} twice")
     return values
+
+
+def _seed(text: str) -> int:
+    """A seed given on the command line: numpy takes non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _train_config(args) -> TrainConfig:

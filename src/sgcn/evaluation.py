@@ -25,13 +25,11 @@ from .spectral import spectral_embedding
 from .training import TrainConfig, fit
 
 __all__ = [
-    "PairDataset",
     "LogisticModel",
     "EvalReport",
     "DegenerateDataError",
     "UndefinedMetricError",
     "METHODS",
-    "MODEL_METHODS",
     "build_pairs",
     "fit_logreg",
     "auc",
@@ -42,10 +40,9 @@ __all__ = [
     "model_input",
 ]
 
-# The methods that train the two-track model, and every method the
-# protocol runs: those and the spectral baseline.
-MODEL_METHODS = ("sgcn-1", "sgcn-1+", "sgcn-2")
-METHODS = ("sse", *MODEL_METHODS)
+# Layer count and variant of each two-track method; METHODS adds the spectral baseline.
+_MODELS = {"sgcn-1": (1, "standard"), "sgcn-1+": (2, "plus"), "sgcn-2": (2, "standard")}
+METHODS = ("sse", *_MODELS)
 
 # The protocol's defaults, which run_experiment and the CLI share: the
 # spectral feature width, and the held-out share of the edges, 20% as in
@@ -75,15 +72,9 @@ class UndefinedMetricError(ValueError):
 
 
 @dataclass(frozen=True)
-class PairDataset:
-    """Edge-level features and labels: row = [z_u, z_v], label 1=positive link."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass(frozen=True)
 class LogisticModel:
+    """The probe: the decision ``features @ weights + intercept`` and its sigmoid."""
+
     weights: np.ndarray
     intercept: float
 
@@ -104,45 +95,44 @@ class EvalReport:
     n_test_neg: int
 
 
-def build_pairs(z: np.ndarray, edges) -> PairDataset:
-    """Concatenate endpoint embeddings per ``(u, v, sign)`` row, oriented (min id, max id)."""
+def build_pairs(z: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """``(features, labels)`` per ``(u, v, sign)``: ``[z_u, z_v]``, lower id first; 1 if positive."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     ends = np.sort(edges[:, :2], axis=1)
     unknown = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 1] >= z.shape[0]))
     if len(unknown):
         u, v, _ = edges[unknown[0]]
         raise ValueError(f"edge ({u}, {v}) references unknown node")
-    features = z[ends].reshape(len(ends), 2 * z.shape[1])  # one copy, no concatenation
-    labels = (edges[:, 2] > 0).astype(np.intp)
-    return PairDataset(features=features, labels=labels)
+    # One copy of the endpoint rows, no concatenation.
+    return z[ends].reshape(len(ends), 2 * z.shape[1]), (edges[:, 2] > 0).astype(np.intp)
 
 
-def fit_logreg(train: PairDataset) -> LogisticModel:
-    """Newton's method on the L2-regularized logistic loss.
+def fit_logreg(features: np.ndarray, labels) -> LogisticModel:
+    """Newton's method on the L2-regularized logistic loss of :func:`build_pairs` output.
 
     The penalty enters as ``_L2 * ||w||^2 / m`` (intercept unpenalized).
     Iterates until the gradient sup-norm drops below 1e-6 or ``_MAX_ITER``
-    steps; fully deterministic. Requires both classes in the labels.
+    steps, scoring each iterate as a :class:`LogisticModel`; fully
+    deterministic. Requires both classes in the labels.
     """
-    y = train.labels.astype(np.float64)
+    x, y = features, labels.astype(np.float64)
     if y.min() == y.max():
         raise DegenerateDataError("training pairs contain a single class")
-    x = train.features
     m, d = x.shape
     beta = np.zeros(d + 1)  # [w, intercept]
     xs = np.empty((m, d))  # x scaled by each step's curvature, refilled in place
 
-    def decision(b):
-        return x @ b[:d] + b[d]
+    def model(b):
+        return LogisticModel(weights=b[:d], intercept=float(b[d]))
 
     def objective(b):
-        margins = decision(b)
+        margins = model(b).decision(x)
         nll = np.mean(np.logaddexp(0.0, margins) - y * margins)
         return nll + _L2 * np.dot(b[:d], b[:d]) / m
 
     obj = objective(beta)
     for _ in range(_MAX_ITER):
-        p = 1.0 / (1.0 + np.exp(-decision(beta)))
+        p = model(beta).predict_proba(x)
         residual = p - y
         grad = np.empty(d + 1)
         grad[:d] = x.T @ residual / m + 2.0 * _L2 * beta[:d] / m
@@ -171,7 +161,7 @@ def fit_logreg(train: PairDataset) -> LogisticModel:
             t *= 0.5
         else:
             break
-    return LogisticModel(weights=beta[:d], intercept=float(beta[d]))
+    return model(beta)
 
 
 def auc(scores, labels) -> float:
@@ -211,15 +201,14 @@ def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
     alive at its peak.
     """
     z = np.asarray(z, dtype=np.float64)
-    model = fit_logreg(build_pairs(z, split.train.edge_array()))
-    test_pairs = build_pairs(z, split.test)
-    probs = model.predict_proba(test_pairs.features)
-    n_test_pos = int(test_pairs.labels.sum())
+    model = fit_logreg(*build_pairs(z, split.train.edge_array()))
+    features, labels = build_pairs(z, split.test)
+    probs = model.predict_proba(features)
     return EvalReport(
-        auc=auc(probs, test_pairs.labels),
-        f1=f1((probs >= _THRESHOLD).astype(int), test_pairs.labels),
-        n_test_pos=n_test_pos,
-        n_test_neg=len(test_pairs.labels) - n_test_pos,
+        auc=auc(probs, labels),
+        f1=f1((probs >= _THRESHOLD).astype(int), labels),
+        n_test_pos=int(labels.sum()),
+        n_test_neg=int((labels == 0).sum()),
     )
 
 
@@ -298,11 +287,8 @@ def model_input(x: np.ndarray) -> np.ndarray:
 
 
 def sgcn_config_for(method: str, d_in: int, d_hidden: int) -> SgcnConfig:
-    """Model shape implied by a method name."""
-    if method == "sgcn-1":
-        return SgcnConfig(d_in=d_in, d_hidden=d_hidden, layers=1)
-    if method == "sgcn-1+":
-        return SgcnConfig(d_in=d_in, d_hidden=d_hidden, layers=2, variant="plus")
-    if method == "sgcn-2":
-        return SgcnConfig(d_in=d_in, d_hidden=d_hidden, layers=2)
-    raise ValueError(f"method {method!r} does not use the two-track model")
+    """Model shape implied by a method name, from ``_MODELS``."""
+    if method not in _MODELS:
+        raise ValueError(f"method {method!r} does not use the two-track model")
+    layers, variant = _MODELS[method]
+    return SgcnConfig(d_in=d_in, d_hidden=d_hidden, layers=layers, variant=variant)

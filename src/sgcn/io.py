@@ -122,12 +122,16 @@ def load_checkpoint(
     checkpoint of any other version is refused before its contents are
     read: versions up to 3 hold no embeddings, a version-4 sgcn-1+
     checkpoint holds later weights ``3*d_hidden`` wide, and a version-5 one
-    records only the split, not the method and widths.
+    records only the split, not the method and widths. A file that is no
+    ``.npz`` archive, or one without a ``version`` member, is refused too.
     """
-    data = load_arrays(path)
+    with open(path, "rb") as fh:  # a missing file is still a FileNotFoundError
+        data = load_arrays(fh) if zipfile.is_zipfile(fh) else {}
+    if "version" not in data:
+        raise ValueError(f"{path} is not an sgcn checkpoint")
     version = int(data["version"])
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"unsupported checkpoint version {version}; run `sgcn train` again")
     sgcn_cfg = SgcnConfig(**_json_value(data["sgcn_cfg"]))
     train_cfg = TrainConfig(**_json_value(data["train_cfg"]))
     layers = sgcn_cfg.layers
@@ -149,9 +153,8 @@ def write_loss_history(path, history: list[LossParts]) -> None:
 
 
 def write_report_rows(path, rows: list[dict]) -> None:
-    """Per-run report CSV: dataset, method, seed, metrics, test counts."""
-    fields = ["dataset", "method", "seed", "auc", "f1", "n_test_pos", "n_test_neg"]
-    _write_csv(path, fields, ([row[k] for k in fields] for row in rows))
+    """Per-run report CSV, one column per key of the rows, in the first row's order."""
+    _write_csv(path, list(rows[0]), ([row[k] for k in rows[0]] for row in rows))
 
 
 def write_aggregate_report(path, rows: list[dict]) -> None:

@@ -56,6 +56,8 @@ def refuse_ingest(monkeypatch):
     monkeypatch.setattr(cli, "_ingest", refuse)
 
 
+COMMANDS = ("ingest", "triangles", "sse", "train", "eval", "sweep-lambda")
+
 # The model's shape, which eval must be given as train was; eval takes no
 # training flags.
 SHAPE = ["--dim", "8", "--hidden-dim", "4"]
@@ -321,23 +323,41 @@ class TestSweepLambda:
         assert f"{flag} lists {repeated} twice" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_negative_seed_listed_refused_before_ingest(self, dataset, tmp_path, capsys,
+                                                        monkeypatch):
+        # Otherwise seed 2 runs to the end before numpy refuses -1.
+        refuse_ingest(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-1",
+                    "--seeds", "2,-1", "--out", out, *FAST_TRAIN]) == 1
+        assert "--seeds: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 class TestFlags:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
             # Read as an abbreviation, --lambda would set --lambdas.
-            ["sweep-lambda", "--method", "sgcn-1", "--epochs", "1", "--lambda", "3"],
-            ["eval", "--method", "sse", "--epochs", "5"],
+            (["sweep-lambda", "--method", "sgcn-1", "--epochs", "1", "--lambda", "3"],
+             "unrecognized arguments: --lambda 3"),
+            (["eval", "--method", "sse", "--epochs", "5"], "unrecognized arguments: --epochs 5"),
+            # numpy seeds from non-negative integers only, and every command
+            # takes --seed, so that one argument list serves a whole pipeline.
+            *(([command, "--seed", "-1"], "argument --seed: expected a non-negative integer")
+              for command in COMMANDS),
         ],
-        ids=["sweep-lambda-lambda", "eval-epochs"],
+        ids=["sweep-lambda-lambda", "eval-epochs",
+             *(f"{command}-negative-seed" for command in COMMANDS)],
     )
-    def test_flag_the_command_lacks_is_a_usage_error(self, dataset, tmp_path, argv):
+    def test_flag_the_command_lacks_is_a_usage_error(self, dataset, tmp_path, capsys, argv,
+                                                     message):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--dataset", dataset, "--out", out, *SHAPE])
         assert exc.value.code == 2
         assert not (out / "report.csv").exists()
+        assert message in capsys.readouterr().err
 
     def test_format_and_method_choices_are_the_protocol_names(self):
         parser = _build_parser()

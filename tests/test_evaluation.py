@@ -7,7 +7,6 @@ import pytest
 from sgcn import evaluation
 from sgcn.evaluation import (
     DegenerateDataError,
-    PairDataset,
     UndefinedMetricError,
     auc,
     build_pairs,
@@ -26,28 +25,28 @@ from oracles import auc_by_enumeration, neighbor_sets
 class TestBuildPairs:
     def test_single_edge_row_width(self):
         z = np.arange(12, dtype=float).reshape(3, 4)
-        ds = build_pairs(z, [SignedEdge(0, 1, 1)])
-        assert ds.features.shape == (1, 8)
-        assert np.array_equal(ds.features[0], np.concatenate([z[0], z[1]]))
-        assert ds.labels.tolist() == [1]
+        features, labels = build_pairs(z, [SignedEdge(0, 1, 1)])
+        assert features.shape == (1, 8)
+        assert np.array_equal(features[0], np.concatenate([z[0], z[1]]))
+        assert labels.tolist() == [1]
 
     def test_orientation_by_node_id(self):
         z = np.arange(8, dtype=float).reshape(2, 4)
-        a = build_pairs(z, [SignedEdge(1, 0, -1)])
-        b = build_pairs(z, [SignedEdge(0, 1, -1)])
-        assert np.array_equal(a.features, b.features)
-        assert a.labels.tolist() == [0]
+        a_features, a_labels = build_pairs(z, [SignedEdge(1, 0, -1)])
+        b_features, _ = build_pairs(z, [SignedEdge(0, 1, -1)])
+        assert np.array_equal(a_features, b_features)
+        assert a_labels.tolist() == [0]
 
     def test_duplicate_edge_duplicates_row(self):
         z = np.ones((2, 3))
-        ds = build_pairs(z, [SignedEdge(0, 1, 1)] * 2)
-        assert ds.features.shape == (2, 6)
-        assert np.array_equal(ds.features[0], ds.features[1])
+        features, _ = build_pairs(z, [SignedEdge(0, 1, 1)] * 2)
+        assert features.shape == (2, 6)
+        assert np.array_equal(features[0], features[1])
 
     def test_empty_edges(self):
-        ds = build_pairs(np.ones((2, 3)), [])
-        assert ds.features.shape == (0, 6)
-        assert ds.labels.shape == (0,)
+        features, labels = build_pairs(np.ones((2, 3)), [])
+        assert features.shape == (0, 6)
+        assert labels.shape == (0,)
 
     @pytest.mark.parametrize("edge", [SignedEdge(0, 5, 1), SignedEdge(-1, 0, 1)],
                              ids=["past-last", "negative"])
@@ -60,14 +59,14 @@ class TestFitLogreg:
     def test_separable_points_classified_perfectly(self):
         features = np.array([[-2.0, 0.0], [2.0, 0.0]])
         labels = np.array([0, 1])
-        model = fit_logreg(PairDataset(features, labels))
+        model = fit_logreg(features, labels)
         preds = (model.predict_proba(features) >= 0.5).astype(int)
         assert preds.tolist() == [0, 1]
 
     def test_constant_features_fit_the_prior(self):
         features = np.ones((10, 3))
         labels = np.array([1] * 7 + [0] * 3)
-        model = fit_logreg(PairDataset(features, labels))
+        model = fit_logreg(features, labels)
         probs = model.predict_proba(features)
         assert probs == pytest.approx(np.full(10, 0.7), abs=1e-3)
 
@@ -81,21 +80,20 @@ class TestFitLogreg:
             preds = (features @ [w0, w1] + b > 0).astype(int)
             best = max(best, int((preds == labels).sum()))
         assert best == 3
-        model = fit_logreg(PairDataset(features, labels))
+        model = fit_logreg(features, labels)
         preds = (model.predict_proba(features) >= 0.5).astype(int)
         assert int((preds == labels).sum()) <= 3
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):
-            fit_logreg(PairDataset(np.ones((4, 2)), np.ones(4, dtype=int)))
+            fit_logreg(np.ones((4, 2)), np.ones(4, dtype=int))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((40, 5))
         labels = (features[:, 0] + 0.3 * rng.standard_normal(40) > 0).astype(int)
-        ds = PairDataset(features, labels)
-        a = fit_logreg(ds)
-        b = fit_logreg(ds)
+        a = fit_logreg(features, labels)
+        b = fit_logreg(features, labels)
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
 
@@ -103,8 +101,7 @@ class TestFitLogreg:
         rng = np.random.default_rng(1)
         features = rng.standard_normal((200, 4))
         labels = (features @ [1.0, -2.0, 0.5, 0.0] > 0.2).astype(int)
-        ds = PairDataset(features, labels)
-        model = fit_logreg(ds)
+        model = fit_logreg(features, labels)
         m = len(labels)
         p = model.predict_proba(features)
         grad_w = features.T @ (p - labels) / m + 2.0 * model.weights / m
@@ -117,10 +114,9 @@ class TestFitLogreg:
         rng = np.random.default_rng(2)
         features = rng.standard_normal((4000, 32))
         labels = (features[:, 0] + rng.standard_normal(4000) > 0).astype(int)
-        ds = PairDataset(features, labels)
         tracemalloc.start()
         try:
-            fit_logreg(ds)
+            fit_logreg(features, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,7 +274,7 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluation, "build_pairs",
                             lambda z, edges: calls.append("pairs") or pairs(z, edges))
         monkeypatch.setattr(evaluation, "fit_logreg",
-                            lambda train: calls.append("probe") or logreg(train))
+                            lambda x, y: calls.append("probe") or logreg(x, y))
         split = split_train_test(benchmark_graph(), 0.2, seed=0)
         evaluation.score_embeddings(np.random.default_rng(4).standard_normal((40, 6)), split)
         assert calls == ["pairs", "probe", "pairs"]

@@ -1,12 +1,15 @@
 """Every name a module of the package imports is used there or re-exported,
-every private module-level name is read somewhere in the package, and every
-public function or class has a reader outside the tests.
+every name a module exports is bound there, every private module-level name
+is read somewhere in the package, and every public function or class has a
+reader outside the tests.
 
-The project's dependencies include no linter, so this walks each module's
-syntax tree with the standard library's ``ast``.
+The project's dependencies include no linter, so these checks walk each
+module's syntax tree with the standard library's ``ast``; the export check
+imports the module.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -54,6 +57,14 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    # A name removed from a module must leave its __all__ too.
+    name = "sgcn" if path.stem == "__init__" else f"sgcn.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
 
 
 def _module_level(statements):

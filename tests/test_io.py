@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,7 +115,21 @@ def test_older_checkpoint_version_refused(tmp_path, version):
         arrays.update(w_friend_1=np.zeros((2, 6)), w_enemy_1=np.zeros((2, 6)))
     arrays["version"] = np.int64(version)
     artifacts.save_arrays(path, **arrays)
-    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; "
+                                         "run `sgcn train` again"):
+        artifacts.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, write", [
+    ("graph.npz", artifacts.save_graph),
+    ("id_map.csv", artifacts.write_id_map),
+], ids=["npz-without-version", "csv"])
+def test_file_that_is_not_a_checkpoint_refused(tmp_path, name, write):
+    # An .npz archive without a version member, and a file numpy cannot
+    # open as one, are both named as what they are not.
+    path = tmp_path / name
+    write(path, SignedGraph.from_edges(2, [(0, 1, 1)]))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not an sgcn checkpoint"):
         artifacts.load_checkpoint(path)
 
 
@@ -183,6 +198,18 @@ def test_csv_artifact_header_and_first_row_bytes(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     write(path)
     assert b"".join(path.read_bytes().splitlines(keepends=True)[:2]) == expected
+
+
+def test_report_writes_every_key_of_its_rows(tmp_path):
+    # The columns are the rows' keys, so a field added to EvalReport
+    # reaches report.csv without a second list to update.
+    path = tmp_path / "report.csv"
+    artifacts.write_report_rows(path, [{**_ROW, "extra": 7}, {**_ROW, "seed": 4, "extra": 8}])
+    assert path.read_text().splitlines() == [
+        "dataset,method,seed,auc,f1,n_test_pos,n_test_neg,extra",
+        "toy,sgcn-2,3,0.75,0.5,4,2,7",
+        "toy,sgcn-2,4,0.75,0.5,4,2,8",
+    ]
 
 
 def test_git_blob_sha1_matches_git_object_format(tmp_path):
