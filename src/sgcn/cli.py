@@ -247,7 +247,7 @@ def _cmd_sweep(args, emit):
     train_cfg = _train_config(args)
     # Each weight's settings are checked here, before the first run.
     configs = [replace(train_cfg, margin_weight=lam)
-               for lam in _listed(args.lambdas, float, "--lambdas")]
+               for lam in _listed(args.lambdas, _number, "--lambdas")]
     seeds = [args.seed] if args.seeds is None else _listed(args.seeds, _seed, "--seeds")
     graph = _ingest(args)
     cache: dict = {}
@@ -281,7 +281,7 @@ def _listed(text: str, kind, flag: str) -> list:
     """
     try:
         values = [kind(v) for v in text.split(",") if v.strip() != ""]
-    except argparse.ArgumentTypeError as exc:  # a refused seed, named by its flag
+    except argparse.ArgumentTypeError as exc:  # a refused value, named by its flag
         raise ValueError(f"{flag}: {exc}") from None
     if not values:
         raise ValueError(f"{flag} lists no values")
@@ -289,6 +289,14 @@ def _listed(text: str, kind, flag: str) -> list:
         if value in values[:at]:
             raise ValueError(f"{flag} lists {value:g} twice")
     return values
+
+
+def _number(text: str) -> float:
+    """A margin weight listed on the command line."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
 def _seed(text: str) -> int:

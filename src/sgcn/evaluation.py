@@ -1,15 +1,15 @@
 """Link-sign prediction harness.
 
 Held-out edges are scored by a binary logistic regression over the
-concatenated endpoint embeddings, fit on the training edges only. Quality
-is summarized by AUC (probability a random positive test edge outranks a
-random negative one, ties counted half) and by F1 of the positive-link
-class at a fixed 0.5 threshold. :func:`run_experiment` wires the whole
-protocol together on a graph the caller has built, typically with
-``to_undirected(load_edge_list(path, format))``: split, embed from the train
-side only, fit, score. The CLI's ``train`` runs the same steps through its
-helpers, and its ``eval`` scores the embeddings ``train`` stored on the
-same split.
+concatenated endpoint embeddings, fit on the training edges only, without
+building those concatenated rows. Quality is summarized by AUC (probability
+a random positive test edge outranks a random negative one, ties counted
+half) and by F1 of the positive-link class at a fixed 0.5 threshold.
+:func:`run_experiment` wires the whole protocol together on a graph the
+caller has built, typically with ``to_undirected(load_edge_list(path,
+format))``: split, embed from the train side only, fit, score. The CLI's
+``train`` runs the same steps through its helpers, and its ``eval`` scores
+the embeddings ``train`` stored on the same split.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .graph import EdgeSplit, SignedGraph, split_train_test
 from .model import SgcnConfig
@@ -73,16 +74,18 @@ class UndefinedMetricError(ValueError):
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """The probe: the decision ``features @ weights + intercept`` and its sigmoid."""
+    """The probe: pair ``(u, v)`` scores ``z_u @ w_u + z_v @ w_v + intercept``, and its sigmoid."""
 
-    weights: np.ndarray
+    weights: np.ndarray  # [w_u, w_v]
     intercept: float
+    steps: int = 0  # the Newton steps of the fit
 
-    def decision(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.intercept
+    def decision(self, z: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        node = z @ self.weights.reshape(2, -1).T  # each node's score as lower and as higher end
+        return node[ends[:, 0], 0] + node[ends[:, 1], 1] + self.intercept
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.decision(features)))
+    def predict_proba(self, z: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-self.decision(z, ends)))
 
 
 @dataclass(frozen=True)
@@ -96,56 +99,60 @@ class EvalReport:
 
 
 def build_pairs(z: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """``(features, labels)`` per ``(u, v, sign)``: ``[z_u, z_v]``, lower id first; 1 if positive."""
+    """``(ends, labels)`` per ``(u, v, sign)``: the ids into ``z``, lower first; 1 if positive."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     ends = np.sort(edges[:, :2], axis=1)
     unknown = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 1] >= z.shape[0]))
     if len(unknown):
         u, v, _ = edges[unknown[0]]
         raise ValueError(f"edge ({u}, {v}) references unknown node")
-    # One copy of the endpoint rows, no concatenation.
-    return z[ends].reshape(len(ends), 2 * z.shape[1]), (edges[:, 2] > 0).astype(np.intp)
+    return ends, (edges[:, 2] > 0).astype(np.intp)
 
 
-def fit_logreg(features: np.ndarray, labels) -> LogisticModel:
-    """Newton's method on the L2-regularized logistic loss of :func:`build_pairs` output.
+def fit_logreg(z: np.ndarray, ends: np.ndarray, labels) -> LogisticModel:
+    """Newton's method on the L2-regularized logistic loss of pair features ``[z_u, z_v]``.
 
-    The penalty enters as ``_L2 * ||w||^2 / m`` (intercept unpenalized).
-    Iterates until the gradient sup-norm drops below 1e-6 or ``_MAX_ITER``
-    steps, scoring each iterate as a :class:`LogisticModel`; fully
-    deterministic. Requires both classes in the labels.
+    Gradient and Hessian are products of ``z`` with per-node sums over the
+    pairs; no pair's features are built. The penalty is ``_L2 * ||w||^2 / m``
+    (intercept unpenalized). Stops at a gradient sup-norm of 1e-6 or after
+    ``_MAX_ITER`` steps; fully deterministic. Requires both classes.
     """
-    x, y = features, labels.astype(np.float64)
+    y = labels.astype(np.float64)
     if y.min() == y.max():
         raise DegenerateDataError("training pairs contain a single class")
-    m, d = x.shape
-    beta = np.zeros(d + 1)  # [w, intercept]
-    xs = np.empty((m, d))  # x scaled by each step's curvature, refilled in place
+    (n, d), m = z.shape, len(y)
+    u, v = ends.T
+    beta = np.zeros(2 * d + 1)  # [w_u, w_v, intercept]
 
-    def model(b):
-        return LogisticModel(weights=b[:d], intercept=float(b[d]))
+    def node_sums(w):  # (n, 2): w summed over each node's pairs as lower and as higher end
+        return np.column_stack([np.bincount(u, w, n), np.bincount(v, w, n)])
+
+    def model(b, steps=0):
+        return LogisticModel(weights=b[:-1], intercept=float(b[-1]), steps=steps)
 
     def objective(b):
-        margins = model(b).decision(x)
+        margins = model(b).decision(z, ends)
         nll = np.mean(np.logaddexp(0.0, margins) - y * margins)
-        return nll + _L2 * np.dot(b[:d], b[:d]) / m
+        return nll + _L2 * np.dot(b[:-1], b[:-1]) / m
 
-    obj = objective(beta)
+    obj, steps = objective(beta), 0
     for _ in range(_MAX_ITER):
-        p = model(beta).predict_proba(x)
+        p = model(beta).predict_proba(z, ends)
         residual = p - y
-        grad = np.empty(d + 1)
-        grad[:d] = x.T @ residual / m + 2.0 * _L2 * beta[:d] / m
-        grad[d] = residual.mean()
+        grad = np.empty(2 * d + 1)
+        grad[:-1] = (z.T @ node_sums(residual)).T.ravel() / m + 2.0 * _L2 * beta[:-1] / m
+        grad[-1] = residual.mean()
         if np.abs(grad).max() <= 1e-6:
             break
         s = p * (1.0 - p)
-        np.multiply(x, s[:, None], out=xs)
-        hess = np.empty((d + 1, d + 1))
-        hess[:d, :d] = x.T @ xs / m
-        hess[:d, :d][np.diag_indices(d)] += 2.0 * _L2 / m
-        hess[:d, d] = hess[d, :d] = xs.sum(axis=0) / m
-        hess[d, d] = s.sum() / m
+        # Per-node curvature sums, and the pairs' curvatures as an n x n matrix (repeats sum).
+        a = node_sums(s)
+        cross = z.T @ (scipy.sparse.csr_matrix((s, (u, v)), shape=(n, n)) @ z)
+        hess = np.empty((2 * d + 1, 2 * d + 1))
+        hess[:-1, :-1] = np.block([[z.T @ (a[:, :1] * z), cross],
+                                   [cross.T, z.T @ (a[:, 1:] * z)]]) / m
+        hess[:-1, :-1][np.diag_indices(2 * d)] += 2.0 * _L2 / m
+        hess[:, -1] = hess[-1] = np.append((z.T @ a).T.ravel(), s.sum()) / m
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -156,12 +163,12 @@ def fit_logreg(features: np.ndarray, labels) -> LogisticModel:
             candidate = beta - t * step
             new_obj = objective(candidate)
             if new_obj <= obj:
-                beta, obj = candidate, new_obj
+                beta, obj, steps = candidate, new_obj, steps + 1
                 break
             t *= 0.5
         else:
             break
-    return model(beta)
+    return model(beta, steps)
 
 
 def auc(scores, labels) -> float:
@@ -196,14 +203,13 @@ def f1(predictions, labels) -> float:
 def score_embeddings(z: np.ndarray, split: EdgeSplit) -> EvalReport:
     """Fit the logistic probe on the train edges and score the held-out ones.
 
-    The probe runs in float64 on an exact copy of float32 embeddings. The
-    held-out pairs are built once it is fit, so their features are not
-    alive at its peak.
+    The probe runs in float64 on an exact copy of float32 embeddings, and
+    reads both edge sets as endpoint ids into it.
     """
     z = np.asarray(z, dtype=np.float64)
-    model = fit_logreg(*build_pairs(z, split.train.edge_array()))
-    features, labels = build_pairs(z, split.test)
-    probs = model.predict_proba(features)
+    model = fit_logreg(z, *build_pairs(z, split.train.edge_array()))
+    ends, labels = build_pairs(z, split.test)
+    probs = model.predict_proba(z, ends)
     return EvalReport(
         auc=auc(probs, labels),
         f1=f1((probs >= _THRESHOLD).astype(int), labels),
@@ -247,7 +253,7 @@ def run_experiment(
         # Training leaves freed scratch arrays on the C heap. Unreturned,
         # the probe's arrays reuse that space or not, depending on how it
         # fragmented. sgcn-2 on bitcoin-alpha (1 BLAS thread, seeds 1-3)
-        # peaks at 109.2-109.5 MB without this call, 101.0-101.4 MB with it.
+        # peaks at 86.8-87.2 MB without this call, 85.8-86.1 MB with it.
         if _malloc_trim is not None:
             _malloc_trim(0)
     return score_embeddings(z, split)

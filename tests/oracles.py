@@ -3,11 +3,12 @@
 Everything here is written for transparency over speed: neighbour lookups
 and invariant checks read entry by entry off the adjacency, a dict fold of
 raw records, exhaustive walk enumeration, exhaustive 2-coloring, a stack
-walk that 2-colours each component, pairwise AUC counting, and central
-finite differences. None of it shares code with
-the implementations under test, except :func:`gradients`: it runs the
-library's own forward and backward pass for one batch, so that the tests
-can hold that gradient against central differences.
+walk that 2-colours each component, pairwise AUC counting, a logistic
+probe fit on explicit pair features, and central finite differences. None
+of it shares code with the implementations under test, except
+:func:`gradients`: it runs the library's own forward and backward pass for
+one batch, so that the tests can hold that gradient against central
+differences. The probe oracle reads only the library's penalty and step cap.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 
 import numpy as np
 
+from sgcn.evaluation import _L2, _MAX_ITER
 from sgcn.graph import SignedGraph
 from sgcn.model import forward_pass, neighbor_mean_ops
 from sgcn.training import _backward
@@ -230,6 +232,64 @@ def auc_by_enumeration(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def pair_features(z: np.ndarray, ends) -> np.ndarray:
+    """The m x 2d matrix of rows ``[z_u, z_v]``, one per ``(u, v)`` in ``ends``."""
+    ends = np.asarray(ends)
+    return np.hstack([z[ends[:, 0]], z[ends[:, 1]]])
+
+
+def logreg_on_pair_features(features: np.ndarray, labels) -> tuple[np.ndarray, float, int]:
+    """``(weights, intercept, steps)`` of the link-sign probe, fit on explicit pair features.
+
+    The same Newton iteration as :func:`sgcn.evaluation.fit_logreg`, on the
+    m x 2d feature matrix row by row: loss ``mean(log(1 + e^t) - y t) +
+    _L2 * ||w||^2 / m``, Hessian ``x.T @ (s x) / m`` with the curvature ``s``
+    scaled into a buffer, a full step halved up to 30 times until the loss
+    does not rise, and a stop at a gradient sup-norm of 1e-6 or after
+    ``_MAX_ITER`` steps. ``steps`` counts the accepted steps.
+    """
+    x, y = features, np.asarray(labels, dtype=np.float64)
+    m, d = x.shape
+    beta = np.zeros(d + 1)  # [w, intercept]
+    xs = np.empty((m, d))
+
+    def objective(b):
+        margins = x @ b[:d] + b[d]
+        return np.mean(np.logaddexp(0.0, margins) - y * margins) + _L2 * np.dot(b[:d], b[:d]) / m
+
+    obj, steps = objective(beta), 0
+    for _ in range(_MAX_ITER):
+        p = 1.0 / (1.0 + np.exp(-(x @ beta[:d] + beta[d])))
+        residual = p - y
+        grad = np.empty(d + 1)
+        grad[:d] = x.T @ residual / m + 2.0 * _L2 * beta[:d] / m
+        grad[d] = residual.mean()
+        if np.abs(grad).max() <= 1e-6:
+            break
+        s = p * (1.0 - p)
+        np.multiply(x, s[:, None], out=xs)
+        hess = np.empty((d + 1, d + 1))
+        hess[:d, :d] = x.T @ xs / m
+        hess[:d, :d][np.diag_indices(d)] += 2.0 * _L2 / m
+        hess[:d, d] = hess[d, :d] = xs.sum(axis=0) / m
+        hess[d, d] = s.sum() / m
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        t = 1.0
+        for _ in range(30):
+            candidate = beta - t * step
+            new_obj = objective(candidate)
+            if new_obj <= obj:
+                beta, obj, steps = candidate, new_obj, steps + 1
+                break
+            t *= 0.5
+        else:
+            break
+    return beta[:d], float(beta[d]), steps
 
 
 def central_difference(fn, array: np.ndarray, step: float = 1e-5) -> np.ndarray:

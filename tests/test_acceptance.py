@@ -7,6 +7,7 @@ the bundled Bitcoin trust networks, five seeds each, reusing split+feature
 work across methods that share a seed. Expect minutes of compute.
 """
 
+import itertools
 import time
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from sgcn.balance import reach_sets
-from sgcn.evaluation import auc, f1, run_experiment
+from sgcn.evaluation import (DEFAULT_DIM, DEFAULT_TEST_FRACTION, auc, build_pairs, f1,
+                             fit_logreg, run_experiment, split_and_features)
 from sgcn.graph import load_edge_list, to_undirected
 from sgcn.model import SgcnConfig, embed_all, init_params
 from sgcn.spectral import signed_laplacian
@@ -25,6 +27,8 @@ from oracles import (
     components,
     gradients,
     is_two_colorable,
+    logreg_on_pair_features,
+    pair_features,
     random_signed_graph,
     walk_reach_by_parity,
 )
@@ -271,3 +275,28 @@ def test_margin_term_sensitivity(bench):
         f"lambda=0 {auc_off:.4f}, gap={gap:+.4f} (>=0.01)",
     )
     assert gap >= 0.01
+
+
+@pytest.mark.acceptance
+@pytest.mark.dataset
+def test_probe_matches_the_pair_feature_oracle(bench):
+    # The spectral features of each seed's split, shared with the runs above.
+    worst, steps_equal = 0.0, True
+    for dataset, seed in itertools.product(DATASETS, SEEDS):
+        split, x = split_and_features(bench["graphs"][dataset], DEFAULT_TEST_FRACTION, seed,
+                                      DEFAULT_DIM, bench["caches"][dataset])
+        ends, labels = build_pairs(x, split.train.edge_array())
+        model = fit_logreg(x, ends, labels)
+        weights, intercept, steps = logreg_on_pair_features(pair_features(x, ends), labels)
+        reference = np.append(weights, intercept)
+        gap = np.abs(np.append(model.weights, model.intercept) - reference).max()
+        worst = max(worst, gap / np.abs(reference).max())
+        steps_equal &= model.steps == steps
+    ok = worst <= 1e-10 and steps_equal
+    report_line(
+        "6f", ok,
+        f"probe vs pair-feature oracle, seeds 0-4 of both datasets: max relative "
+        f"weight gap {worst:.1e} (<=1e-10), Newton steps equal: {steps_equal}",
+    )
+    assert worst <= 1e-10
+    assert steps_equal

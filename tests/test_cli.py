@@ -333,6 +333,16 @@ class TestSweepLambda:
         assert "--seeds: expected a non-negative integer, got '-1'" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    def test_non_number_lambda_refused_before_ingest(self, dataset, tmp_path, capsys,
+                                                     monkeypatch):
+        # float's own message would not say which flag held the value.
+        refuse_ingest(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["sweep-lambda", "--dataset", dataset, "--method", "sgcn-1",
+                    "--lambdas", "0,x", "--out", out, *FAST_TRAIN]) == 1
+        assert "--lambdas: expected a number, got 'x'" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
 
 class TestFlags:
     @pytest.mark.parametrize(

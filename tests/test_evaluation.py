@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcn import evaluation
 from sgcn.evaluation import (
@@ -19,33 +21,47 @@ from sgcn.graph import (SignedEdge, SignedGraph, load_edge_list, split_train_tes
 from sgcn.spectral import spectral_embedding
 from sgcn.training import TrainConfig
 
-from oracles import auc_by_enumeration, neighbor_sets
+from oracles import auc_by_enumeration, logreg_on_pair_features, neighbor_sets, pair_features
+
+
+def as_pairs(features):
+    """Embeddings ``z`` and ``ends`` whose pair features ``[z_u, z_v]`` are ``features``' rows.
+
+    Row ``k`` splits into nodes ``2k`` and ``2k + 1``, the pair ``(2k, 2k + 1)``.
+    An odd width gets a zero column, whose weight the penalty holds at zero.
+    """
+    m, width = features.shape
+    if width % 2:
+        features = np.hstack([features, np.zeros((m, 1))])
+    return features.reshape(2 * m, -1), np.arange(2 * m).reshape(m, 2)
 
 
 class TestBuildPairs:
     def test_single_edge_row_width(self):
         z = np.arange(12, dtype=float).reshape(3, 4)
-        features, labels = build_pairs(z, [SignedEdge(0, 1, 1)])
+        ends, labels = build_pairs(z, [SignedEdge(0, 1, 1)])
+        assert ends.tolist() == [[0, 1]]
+        features = pair_features(z, ends)
         assert features.shape == (1, 8)
         assert np.array_equal(features[0], np.concatenate([z[0], z[1]]))
         assert labels.tolist() == [1]
 
     def test_orientation_by_node_id(self):
         z = np.arange(8, dtype=float).reshape(2, 4)
-        a_features, a_labels = build_pairs(z, [SignedEdge(1, 0, -1)])
-        b_features, _ = build_pairs(z, [SignedEdge(0, 1, -1)])
-        assert np.array_equal(a_features, b_features)
+        a_ends, a_labels = build_pairs(z, [SignedEdge(1, 0, -1)])
+        b_ends, _ = build_pairs(z, [SignedEdge(0, 1, -1)])
+        assert np.array_equal(a_ends, b_ends)
         assert a_labels.tolist() == [0]
 
     def test_duplicate_edge_duplicates_row(self):
         z = np.ones((2, 3))
-        features, _ = build_pairs(z, [SignedEdge(0, 1, 1)] * 2)
-        assert features.shape == (2, 6)
-        assert np.array_equal(features[0], features[1])
+        ends, _ = build_pairs(z, [SignedEdge(0, 1, 1)] * 2)
+        assert ends.shape == (2, 2)
+        assert np.array_equal(ends[0], ends[1])
 
     def test_empty_edges(self):
-        features, labels = build_pairs(np.ones((2, 3)), [])
-        assert features.shape == (0, 6)
+        ends, labels = build_pairs(np.ones((2, 3)), [])
+        assert ends.shape == (0, 2)
         assert labels.shape == (0,)
 
     @pytest.mark.parametrize("edge", [SignedEdge(0, 5, 1), SignedEdge(-1, 0, 1)],
@@ -57,17 +73,17 @@ class TestBuildPairs:
 
 class TestFitLogreg:
     def test_separable_points_classified_perfectly(self):
-        features = np.array([[-2.0, 0.0], [2.0, 0.0]])
+        z, ends = as_pairs(np.array([[-2.0, 0.0], [2.0, 0.0]]))
         labels = np.array([0, 1])
-        model = fit_logreg(features, labels)
-        preds = (model.predict_proba(features) >= 0.5).astype(int)
+        model = fit_logreg(z, ends, labels)
+        preds = (model.predict_proba(z, ends) >= 0.5).astype(int)
         assert preds.tolist() == [0, 1]
 
     def test_constant_features_fit_the_prior(self):
-        features = np.ones((10, 3))
+        z, ends = as_pairs(np.ones((10, 3)))
         labels = np.array([1] * 7 + [0] * 3)
-        model = fit_logreg(features, labels)
-        probs = model.predict_proba(features)
+        model = fit_logreg(z, ends, labels)
+        probs = model.predict_proba(z, ends)
         assert probs == pytest.approx(np.full(10, 0.7), abs=1e-3)
 
     def test_xor_accuracy_capped_by_linearity(self):
@@ -80,20 +96,21 @@ class TestFitLogreg:
             preds = (features @ [w0, w1] + b > 0).astype(int)
             best = max(best, int((preds == labels).sum()))
         assert best == 3
-        model = fit_logreg(features, labels)
-        preds = (model.predict_proba(features) >= 0.5).astype(int)
+        z, ends = as_pairs(features)
+        model = fit_logreg(z, ends, labels)
+        preds = (model.predict_proba(z, ends) >= 0.5).astype(int)
         assert int((preds == labels).sum()) <= 3
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):
-            fit_logreg(np.ones((4, 2)), np.ones(4, dtype=int))
+            fit_logreg(*as_pairs(np.ones((4, 2))), np.ones(4, dtype=int))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((40, 5))
         labels = (features[:, 0] + 0.3 * rng.standard_normal(40) > 0).astype(int)
-        a = fit_logreg(features, labels)
-        b = fit_logreg(features, labels)
+        a = fit_logreg(*as_pairs(features), labels)
+        b = fit_logreg(*as_pairs(features), labels)
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
 
@@ -101,26 +118,34 @@ class TestFitLogreg:
         rng = np.random.default_rng(1)
         features = rng.standard_normal((200, 4))
         labels = (features @ [1.0, -2.0, 0.5, 0.0] > 0.2).astype(int)
-        model = fit_logreg(features, labels)
+        z, ends = as_pairs(features)
+        model = fit_logreg(z, ends, labels)
         m = len(labels)
-        p = model.predict_proba(features)
+        p = model.predict_proba(z, ends)
         grad_w = features.T @ (p - labels) / m + 2.0 * model.weights / m
         grad_b = (p - labels).mean()
         assert max(np.abs(grad_w).max(), abs(grad_b)) <= 1e-6
 
-    def test_scratch_stays_under_one_copy_of_the_features(self):
-        # Each Newton step scales the features by the curvature into one
-        # buffer; a fresh product per step would hold two m x d copies at once.
-        rng = np.random.default_rng(2)
-        features = rng.standard_normal((4000, 32))
-        labels = (features[:, 0] + rng.standard_normal(4000) > 0).astype(int)
-        tracemalloc.start()
-        try:
-            fit_logreg(features, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * features.nbytes
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), d=st.integers(1, 6),
+           pairs_per_node=st.sampled_from([0.3, 1.0, 20.0]))
+    def test_matches_the_pair_feature_oracle(self, seed, n, d, pairs_per_node):
+        # Drawn with replacement, so pairs repeat, most of all when m >> n.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, d))
+        m = max(2, round(pairs_per_node * n))
+        ends = np.sort(rng.integers(0, n, size=(m, 2)), axis=1)
+        labels = (z[ends].sum(axis=(1, 2)) + rng.standard_normal(m) > 0).astype(np.intp)
+        labels[:2] = 0, 1
+        held_out = np.sort(rng.integers(0, n, size=(50, 2)), axis=1)
+        model = fit_logreg(z, ends, labels)
+        weights, intercept, steps = logreg_on_pair_features(pair_features(z, ends), labels)
+        scale = np.abs(np.append(weights, intercept)).max()
+        assert np.abs(model.weights - weights).max() <= 1e-10 * scale
+        assert abs(model.intercept - intercept) <= 1e-10 * scale
+        expected = 1.0 / (1.0 + np.exp(-(pair_features(z, held_out) @ weights + intercept)))
+        assert np.abs(model.predict_proba(z, held_out) - expected).max() <= 1e-12
+        assert model.steps == steps
 
 
 class TestAuc:
@@ -268,16 +293,34 @@ class TestRunExperiment:
         assert report == evaluation.score_embeddings(z32.astype(np.float64), split)
 
     def test_held_out_pairs_built_after_the_probe_is_fit(self, monkeypatch):
-        # Their features are then not alive at the probe's peak.
+        # The probe sees the train edges only; the held-out ones are read once it is fit.
         calls = []
         pairs, logreg = evaluation.build_pairs, evaluation.fit_logreg
         monkeypatch.setattr(evaluation, "build_pairs",
                             lambda z, edges: calls.append("pairs") or pairs(z, edges))
         monkeypatch.setattr(evaluation, "fit_logreg",
-                            lambda x, y: calls.append("probe") or logreg(x, y))
+                            lambda z, ends, y: calls.append("probe") or logreg(z, ends, y))
         split = split_train_test(benchmark_graph(), 0.2, seed=0)
         evaluation.score_embeddings(np.random.default_rng(4).standard_normal((40, 6)), split)
         assert calls == ["pairs", "probe", "pairs"]
+
+    def test_probe_peaks_under_a_quarter_of_the_pair_features(self):
+        # Every pair of 200 nodes, so m >> n: the probe's arrays are per node
+        # or per pair, never m x 2d like the features [z_u, z_v].
+        rng = np.random.default_rng(2)
+        n, d = 200, 64
+        g = SignedGraph.from_edges(n, [(u, v, int(rng.choice([1, -1])))
+                                       for u, v in itertools.combinations(range(n), 2)])
+        split = split_train_test(g, 0.2, seed=0)
+        z = rng.standard_normal((n, d))
+        m = len(split.train.edge_array())
+        tracemalloc.start()
+        try:
+            evaluation.score_embeddings(z, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * m * 2 * d * 8
 
     def test_feature_cache_reused(self):
         g = benchmark_graph()

@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the training step's stages and of a short fit, on the
-Bitcoin-Alpha train graph.
+"""Micro-benchmarks of the training step's stages, of a short fit and of the
+link-sign probe, on the Bitcoin-Alpha train graph.
 
 Run them alone with ``pytest -m microbench``; the fast suite leaves them out
 with ``-m "not acceptance and not microbench"``. Each stage runs three rounds
@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from sgcn.evaluation import model_input, split_and_features
+from sgcn.evaluation import model_input, score_embeddings, split_and_features
 from sgcn.graph import load_edge_list, to_undirected
 from sgcn.model import (
     SgcnConfig,
@@ -34,7 +34,7 @@ DIM = 64
 
 @pytest.fixture(scope="module")
 def alpha():
-    """The seed-0 train graph, its features, a 2-layer model's forward pass and a batch.
+    """The seed-0 split, its train graph and features, a 2-layer forward pass and a batch.
 
     ``x``, the operators, the states and ``dz`` are in the precision ``fit``
     runs its passes in, so each stage times the call ``fit`` makes.
@@ -54,7 +54,7 @@ def alpha():
     mlg = MlgParams(theta=0.1 * rng.standard_normal((3, 2 * cfg.embedding_dim)),
                     bias=np.zeros(3))
     batch = sample_batch(train, TrainConfig(), 0)
-    return dict(train=train, features=features, x=x, cfg=cfg, params=params,
+    return dict(split=split, train=train, features=features, x=x, cfg=cfg, params=params,
                 ops=ops, first=first, states=states, dz=dz, mlg=mlg, batch=batch)
 
 
@@ -104,3 +104,9 @@ def test_fit_ten_epochs(benchmark, alpha):
 def test_spectral_embedding(benchmark, alpha):
     features = benchmark.pedantic(spectral_embedding, args=(alpha["train"], DIM), rounds=3)
     assert np.array_equal(features, alpha["features"])
+
+
+def test_score_embeddings(benchmark, alpha):
+    report = benchmark.pedantic(score_embeddings, args=(alpha["features"], alpha["split"]),
+                                rounds=3)
+    assert report.n_test_pos + report.n_test_neg == len(alpha["split"].test)
