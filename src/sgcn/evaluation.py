@@ -23,7 +23,7 @@ import scipy.sparse
 from .graph import EdgeSplit, SignedGraph, split_train_test
 from .model import SgcnConfig
 from .spectral import spectral_embedding
-from .training import TrainConfig, fit
+from .training import _TRAIN_DTYPE, TrainConfig, fit
 
 __all__ = [
     "LogisticModel",
@@ -253,7 +253,7 @@ def run_experiment(
         # Training leaves freed scratch arrays on the C heap. Unreturned,
         # the probe's arrays reuse that space or not, depending on how it
         # fragmented. sgcn-2 on bitcoin-alpha (1 BLAS thread, seeds 1-3)
-        # peaks at 86.8-87.2 MB without this call, 85.8-86.1 MB with it.
+        # peaks at 83.8-84.0 MB without this call, 82.9-83.5 MB with it.
         if _malloc_trim is not None:
             _malloc_trim(0)
     return score_embeddings(z, split)
@@ -287,9 +287,13 @@ def model_input(x: np.ndarray) -> np.ndarray:
     """Spectral features rescaled to unit RMS, the two-track model's input.
 
     Unit-norm eigenvector columns have O(1/sqrt(n)) entries; rescaled, they
-    start the layers in their design regime.
+    start the layers in their design regime. The result is in float32, the
+    precision :func:`~sgcn.training.fit` runs its passes in, so ``fit``
+    uses it without a copy: each entry is the product taken in the
+    precision of ``x`` and ``sqrt(n)``, rounded once to float32. No
+    full-size array of that precision outlives the call.
     """
-    return x * np.sqrt(x.shape[0])
+    return (x * np.sqrt(x.shape[0])).astype(_TRAIN_DTYPE)
 
 
 def sgcn_config_for(method: str, d_in: int, d_hidden: int) -> SgcnConfig:

@@ -28,8 +28,9 @@ both tracks' last-layer states.
 A pass computes in the precision of its node arrays: ``x`` for
 :func:`forward_pass`, ``dz`` for :func:`backward_pass`. Float32 stays
 float32 and any other input is read as float64, so a float64 call is the
-float64 arithmetic it always was. The weights are read cast to that
-precision, and the weight gradients come back in the weights' own dtype.
+float64 arithmetic it always was. Operators, input blocks and states of
+another precision are refused, never cast. The weights are read cast to
+that precision, and the weight gradients come back in the weights' own dtype.
 Training keeps float64 master weights and runs its passes in float32 (see
 :func:`sgcn.training.fit`).
 """
@@ -166,9 +167,10 @@ def first_layer_inputs(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The first layer's friend and enemy input blocks ``(P.x, x)`` and ``(N.x, x)``.
 
-    ``ops`` must be in the precision of ``x``.
+    Raises ``ValueError`` unless ``ops`` are in the precision of ``x``.
     """
     x = _float_array(x)
+    _check_precision(x.dtype, "x", ops=ops)
     features = LayerState(friend=x, enemy=x)
     return tuple(_input_blocks(blocks, features, ops) for blocks in _SPLIT)
 
@@ -187,10 +189,11 @@ def forward_pass(
     its table row, ``W_b`` being the slot's columns of the weights.
     ``ops`` may carry the pair from :func:`neighbor_mean_ops` and
     ``first_inputs`` the blocks from :func:`first_layer_inputs` of ``x`` to
-    skip rebuilding them, e.g. across training epochs on a fixed graph;
-    both in the precision of ``x``. The states are in that precision.
-    Raises ``ValueError`` unless every weight has the shape its layer's
-    table gives it for an input as wide as ``x``.
+    skip rebuilding them, e.g. across training epochs on a fixed graph.
+    The states are in the precision of ``x``. Raises ``ValueError`` unless
+    ``ops`` and ``first_inputs`` share that precision, and unless every
+    weight has the shape its layer's table gives it for an input as wide as
+    ``x``.
     """
     x = _float_array(x)
     if x.ndim != 2 or x.shape[0] != g.n:
@@ -207,6 +210,7 @@ def forward_pass(
                 f"expected {shape} for input width {x.shape[1]}"
             )
     ops = ops if ops is not None else neighbor_mean_ops(g, x.dtype)
+    _check_precision(x.dtype, "x", ops=ops, first_inputs=_flat(first_inputs or ()))
     inputs = first_inputs if first_inputs is not None else first_layer_inputs(x, ops)
     states = []
     for layer in range(cfg.layers):
@@ -235,22 +239,35 @@ def backward_pass(
     tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``, and
     each block's gradient ``d_pre @ W_b`` goes back through the transpose of
     its operator to the track it was read from. The pass runs in the
-    precision of ``dz``, which ``states`` and ``ops`` share; each weight
-    gradient is written into an array of its weight's dtype.
+    precision of ``dz``; it raises ``ValueError`` unless ``states`` and
+    ``ops`` share it. Each weight gradient is written into an array of its
+    weight's dtype.
+
+    ``dz``, ``states`` and ``ops`` are only read. Each track's ``d_pre`` is
+    written in place into one n x d_hidden buffer that every layer reuses,
+    and the gradient reaching a state sums its parts in place, so the pass
+    holds two such buffers and the two tracks' state gradients, plus one
+    block's product and its operator's image of it at a time.
     """
+    dz = _float_array(dz)
+    arrays = _flat((s.friend, s.enemy, *_flat(s.inputs)) for s in states)
+    _check_precision(dz.dtype, "dz", ops=ops, states=arrays)
     h = cfg.d_hidden
     masters = (params.w_friend, params.w_enemy)
     weights = [[w.astype(dz.dtype, copy=False) for w in ws] for ws in masters]
     grads = ([None] * cfg.layers, [None] * cfg.layers)
     g_state = [dz[:, :h], dz[:, h:]]
+    d_pre = [np.empty_like(states[-1].friend), np.empty_like(states[-1].enemy)]
     for layer in range(cfg.layers - 1, -1, -1):
-        # tanh' = 1 - tanh^2, read off the layer's output.
-        d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
         for track in (_F, _E):
+            # tanh' = 1 - tanh^2, read off the layer's output; d_pre = g * tanh'.
+            buf = np.square(states[layer][track], out=d_pre[track])
+            np.subtract(1.0, buf, out=buf)
+            buf *= g_state[track]
             grad = grads[track][layer] = np.zeros_like(masters[track][layer])
             blocks = states[layer].inputs[track]
             for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
-                columns[...] = d_pre[track].T @ block
+                columns[...] = buf.T @ block
         if layer == 0:
             break  # the features x are not trained
         table = _table(cfg, layer)
@@ -262,7 +279,10 @@ def backward_pass(
                 part = d_pre[track] @ slots[track][slot]
                 if op != _OWN:
                     part = ops[op].T @ part
-                g_state[source] = part if g_state[source] is None else g_state[source] + part
+                if g_state[source] is None:
+                    g_state[source] = part
+                else:
+                    g_state[source] += part
     return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
 
 
@@ -275,6 +295,22 @@ def _float_array(a) -> np.ndarray:
     """``a`` in the precision a pass computes in: float32 stays, all else is read as float64."""
     a = np.asarray(a)
     return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
+def _check_precision(dtype, of: str, **operands) -> None:
+    """Raise ``ValueError`` unless every array of each named operand is in ``dtype``, ``of``'s."""
+    for name, arrays in operands.items():
+        for a in arrays:
+            if a.dtype != dtype:
+                raise ValueError(
+                    f"{name} are {a.dtype} but {of} is {dtype}: "
+                    f"a pass computes in the precision of {of}"
+                )
+
+
+def _flat(groups) -> list:
+    """The members of each group, in order."""
+    return [a for group in groups for a in group]
 
 
 def _table(cfg: SgcnConfig, layer: int):

@@ -318,9 +318,14 @@ def fit(
     on ``x`` and the neighbor-mean operators, each cast once; the weights,
     the pair classifier and Adam's moments are float64, and so are the
     returned ``params`` and ``mlg``. The embeddings are the float32 output
-    of the final forward pass. Raises :class:`DivergenceError` if the loss
-    stops being finite, or once a weight is past float32's range, before a
-    pass would cast it to inf.
+    of the final forward pass. A float32 ``x``, as
+    :func:`sgcn.evaluation.model_input` returns, is used as is, not copied.
+    Across the run ``fit`` keeps ``x``, the operators and the first layer's
+    input blocks; each epoch's layer states are dropped once its gradient
+    is taken, before the next forward pass builds their successors.
+
+    Raises :class:`DivergenceError` if the loss stops being finite, or once
+    a weight is past float32's range, before a pass would cast it to inf.
     """
     params = init_params(sgcn_cfg, cfg.seed)
     mlg = MlgParams.zeros(sgcn_cfg.embedding_dim)
@@ -340,6 +345,7 @@ def fit(
             break  # the states after the last step, which give the embeddings
         batch = sample_batch(train, cfg, epoch)
         parts, grad_w, grad_mlg = _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
+        del states  # so the next pass does not hold two epochs' states
         if not np.isfinite(parts.total):
             raise DivergenceError(epoch, f"non-finite loss {parts.total!r}")
         history.append(parts)

@@ -4,11 +4,12 @@ Everything here is written for transparency over speed: neighbour lookups
 and invariant checks read entry by entry off the adjacency, a dict fold of
 raw records, exhaustive walk enumeration, exhaustive 2-coloring, a stack
 walk that 2-colours each component, pairwise AUC counting, a logistic
-probe fit on explicit pair features, and central finite differences. None
-of it shares code with the implementations under test, except
-:func:`gradients`: it runs the library's own forward and backward pass for
-one batch, so that the tests can hold that gradient against central
-differences. The probe oracle reads only the library's penalty and step cap.
+probe fit on explicit pair features, an allocating backward pass, and
+central finite differences. None of it shares code with the implementations
+under test, except :func:`gradients`: it runs the library's own forward and
+backward pass for one batch, so that the tests can hold that gradient
+against central differences. The probe oracle reads only the library's
+penalty and step cap, and the backward oracle only the layer tables.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from sgcn.evaluation import _L2, _MAX_ITER
 from sgcn.graph import SignedGraph
-from sgcn.model import forward_pass, neighbor_mean_ops
+from sgcn.model import _E, _F, _OWN, SgcnParams, _table, forward_pass, neighbor_mean_ops
 from sgcn.training import _backward
 
 
@@ -306,6 +307,39 @@ def central_difference(fn, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[idx] = orig
         gflat[idx] = (up - down) / (2.0 * step)
     return grad
+
+
+def allocating_backward_pass(states, params, sgcn_cfg, dz, ops) -> SgcnParams:
+    """:func:`sgcn.model.backward_pass` as plain expressions, each result a new array.
+
+    Every ``d_pre`` is ``g * (1 - s**2)`` and every state gradient the sum
+    ``g + part`` of new arrays, so nothing is written in place; the sums
+    run slot by slot in the tables' P, N, own order, as the library's do.
+    """
+    h = sgcn_cfg.d_hidden
+    masters = (params.w_friend, params.w_enemy)
+    weights = [[w.astype(dz.dtype, copy=False) for w in ws] for ws in masters]
+    grads = ([None] * sgcn_cfg.layers, [None] * sgcn_cfg.layers)
+    g_state = [dz[:, :h], dz[:, h:]]
+    for layer in range(sgcn_cfg.layers - 1, -1, -1):
+        d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
+        for track in (_F, _E):
+            grad = grads[track][layer] = np.zeros_like(masters[track][layer])
+            blocks = states[layer].inputs[track]
+            for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
+                columns[...] = d_pre[track].T @ block
+        if layer == 0:
+            break
+        table = _table(sgcn_cfg, layer)
+        slots = [np.split(weights[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
+        g_state = [None, None]
+        for slot, column in enumerate(zip(*table)):
+            for track, (op, source) in enumerate(column):
+                part = d_pre[track] @ slots[track][slot]
+                if op != _OWN:
+                    part = ops[op].T @ part
+                g_state[source] = part if g_state[source] is None else g_state[source] + part
+    return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
 
 
 def gradients(train, x, params, mlg, batch, cfg, sgcn_cfg):

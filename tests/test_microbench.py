@@ -26,6 +26,8 @@ from sgcn.model import (
 from sgcn.spectral import spectral_embedding
 from sgcn.training import _TRAIN_DTYPE, MlgParams, TrainConfig, _backward, fit, sample_batch
 
+from oracles import allocating_backward_pass
+
 pytestmark = [pytest.mark.microbench, pytest.mark.dataset]
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -36,13 +38,15 @@ DIM = 64
 def alpha():
     """The seed-0 split, its train graph and features, a 2-layer forward pass and a batch.
 
-    ``x``, the operators, the states and ``dz`` are in the precision ``fit``
-    runs its passes in, so each stage times the call ``fit`` makes.
+    ``x``, as ``model_input`` returns it, the operators, the states and
+    ``dz`` are in the precision ``fit`` runs its passes in, so each stage
+    times the call ``fit`` makes.
     ``first`` holds the first layer's input blocks ``(P.x, x)`` and ``(N.x, x)``.
     """
     g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
     split, features = split_and_features(g, 0.2, seed=0, dim=DIM)
-    train, x = split.train, model_input(features).astype(_TRAIN_DTYPE)
+    train, x = split.train, model_input(features)
+    assert x.dtype == _TRAIN_DTYPE
     cfg = SgcnConfig(d_in=DIM)
     params = init_params(cfg, seed=0)
     ops = neighbor_mean_ops(train, _TRAIN_DTYPE)
@@ -79,8 +83,9 @@ def test_backward_pass(benchmark, alpha):
         backward_pass, args=(a["states"], a["params"], a["cfg"], a["dz"], a["ops"]),
         rounds=3,
     )
-    assert [w.shape for w in grads.all_weights()] == [
-        w.shape for w in a["params"].all_weights()]
+    expected = allocating_backward_pass(a["states"], a["params"], a["cfg"], a["dz"], a["ops"])
+    for got, want in zip(grads.all_weights(), expected.all_weights(), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_objective_and_gradient(benchmark, alpha):

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +540,49 @@ class TestFit:
         assert max(moves) <= bound
         assert max(moves) >= 0.5 * cfg.learning_rate
 
+    def test_peak_memory_stays_under_twelve_embeddings(self):
+        # A sparse graph with few anchors per batch, so the per-node arrays
+        # set the peak, in the backward pass: the first layer's blocks, one
+        # epoch's states, dz and the pass's buffers. An embedding, n x
+        # 2*d_hidden float32, is the unit. The fit peaks at 11.4 of them; a
+        # backward pass that allocates every product took it to 12.4.
+        n, d_hidden = 2000, 32
+        rng = np.random.default_rng(3)
+        ends = rng.integers(n, size=(4000, 2))
+        ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+        signs = rng.choice([1, -1], size=len(ends), p=[0.7, 0.3])
+        g = SignedGraph.from_edges(n, [(u, v, s)
+                                       for (u, v), s in zip(ends.tolist(), signs.tolist())])
+        x = rng.standard_normal((n, 2 * d_hidden)).astype(training._TRAIN_DTYPE)
+        cfg = TrainConfig(epochs=3, batch_nodes=100)
+        tracemalloc.start()
+        try:
+            fit(g, x, cfg, SgcnConfig(d_in=2 * d_hidden, d_hidden=d_hidden))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * 2 * d_hidden * 4
+
+    def test_each_epochs_states_dropped_before_the_next_pass(self, monkeypatch):
+        alive = []
+        forward = training.forward_pass
+
+        def checked_forward(*args, **kwargs):
+            # The states of the last pass are gone, the first layer's blocks kept.
+            assert all(ref() is None for ref in alive)
+            states = forward(*args, **kwargs)
+            alive[:] = [weakref.ref(a) for s in states for a in (s.friend, s.enemy)]
+            return states
+
+        monkeypatch.setattr(training, "forward_pass", checked_forward)
+        g = two_cliques(5)
+        x = np.random.default_rng(14).standard_normal((g.n, 4)).astype(np.float32)
+        for model in MODELS.values():
+            result = fit(g, x, small_config(batch_nodes=g.n, epochs=3),
+                         SgcnConfig(d_in=4, d_hidden=3, **model))
+            assert len(result.history) == 3
+            alive.clear()
+
     def test_history_length_and_final_embedding_shape(self):
         g = two_cliques(4)
         x = np.random.default_rng(6).standard_normal((g.n, 3))
@@ -560,7 +605,7 @@ class TestPrecision:
             for state in states:
                 assert state.friend.dtype == state.enemy.dtype == np.float32
                 for blocks in state.inputs:
-                    assert all(b is None or b.dtype == np.float32 for b in blocks)
+                    assert all(b.dtype == np.float32 for b in blocks)
             assert [op.dtype for op in ops] == [np.float32, np.float32]
             assert all(w.dtype == np.float64 for w in params.all_weights())
             grads = backward(states, params, sgcn_cfg, dz, ops)
@@ -609,7 +654,11 @@ class TestPrecision:
     def test_float32_gradient_matches_float64_on_bitcoin_alpha(self):
         g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
         split, features = split_and_features(g, 0.2, seed=0, dim=64)
-        train, x = split.train, model_input(features)
+        # The float64 side reads the features at full precision, so the
+        # comparison covers rounding the model input to float32 as well.
+        train = split.train
+        inputs = {np.float64: features * np.sqrt(features.shape[0]),
+                  training._TRAIN_DTYPE: model_input(features)}
         sgcn_cfg, cfg = SgcnConfig(d_in=64), TrainConfig(seed=0)
         params = init_params(sgcn_cfg, 0)
         rng = np.random.default_rng(0)
@@ -619,7 +668,7 @@ class TestPrecision:
         passes = []
         for dtype in (np.float64, training._TRAIN_DTYPE):
             ops = neighbor_mean_ops(train, dtype)
-            states = forward_pass(train, x.astype(dtype), params, sgcn_cfg, ops=ops)
+            states = forward_pass(train, inputs[dtype], params, sgcn_cfg, ops=ops)
             passes.append(_backward(states, params, mlg, batch, cfg, sgcn_cfg, ops))
         (parts64, w64, mlg64), (parts32, w32, mlg32) = passes
         assert parts32.total == pytest.approx(parts64.total, rel=1e-4)
