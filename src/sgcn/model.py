@@ -22,13 +22,17 @@ standard layers read the crossing table; the plus variant is the first
 layer's table repeated. A track's weight matrix is read as column blocks,
 one per slot and each as wide as the layer's input, so a layer computes
 ``tanh(sum_b block_b @ W_b.T)``, which is ``tanh([blocks] @ W.T)`` without
-building the concatenation. The final embedding is the concatenation of
-both tracks' last-layer states.
+building the concatenation, and keeps no block once it is summed. The
+backward pass reassociates instead of reading blocks: slot ``b``'s weight
+gradient ``d_pre.T @ (op_b @ source_b)`` is taken as
+``(op_b.T @ d_pre).T @ source_b``, so it needs only the states, ``x`` and
+the operators. The final embedding is the concatenation of both tracks'
+last-layer states.
 
 A pass computes in the precision of its node arrays: ``x`` for
 :func:`forward_pass`, ``dz`` for :func:`backward_pass`. Float32 stays
 float32 and any other input is read as float64, so a float64 call is the
-float64 arithmetic it always was. Operators, input blocks and states of
+float64 arithmetic it always was. Operators, features and states of
 another precision are refused, never cast. The weights are read cast to
 that precision, and the weight gradients come back in the weights' own dtype.
 Training keeps float64 master weights and runs its passes in float32 (see
@@ -51,7 +55,6 @@ __all__ = [
     "LayerState",
     "init_params",
     "neighbor_mean_ops",
-    "first_layer_inputs",
     "forward_pass",
     "backward_pass",
     "embed_all",
@@ -117,15 +120,13 @@ class SgcnParams:
 class LayerState(NamedTuple):
     """Hidden matrices (n x d_hidden) of both tracks at one layer.
 
-    ``inputs`` holds the friend and enemy input blocks the weights acted on,
-    one per table slot, which :func:`backward_pass` reads; it is ``None``
-    for the features. :meth:`embedding` is the one place that lays the
-    tracks side by side.
+    The states are all that :func:`backward_pass` reads of a forward pass,
+    besides ``x``. :meth:`embedding` is the one place that lays the tracks
+    side by side.
     """
 
     friend: np.ndarray
     enemy: np.ndarray
-    inputs: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None
 
     def embedding(self) -> np.ndarray:
         """The ``n x 2*d_hidden`` embedding ``[friend | enemy]`` of this layer."""
@@ -162,38 +163,23 @@ def _row_normalized(mask: scipy.sparse.csr_matrix, dtype) -> scipy.sparse.csr_ma
     return scipy.sparse.csr_matrix((weights, mask.indices, mask.indptr), shape=mask.shape)
 
 
-def first_layer_inputs(
-    x: np.ndarray, ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The first layer's friend and enemy input blocks ``(P.x, x)`` and ``(N.x, x)``.
-
-    Raises ``ValueError`` unless ``ops`` are in the precision of ``x``.
-    """
-    x = _float_array(x)
-    _check_precision(x.dtype, "x", ops=ops)
-    features = LayerState(friend=x, enemy=x)
-    return tuple(_input_blocks(blocks, features, ops) for blocks in _SPLIT)
-
-
 def forward_pass(
     g: SignedGraph,
     x: np.ndarray,
     params: SgcnParams,
     cfg: SgcnConfig,
     ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix] | None = None,
-    first_inputs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[LayerState]:
     """Run all layers and return every intermediate :class:`LayerState`.
 
     Each track's pre-activation sums ``block @ W_b.T`` over the blocks of
-    its table row, ``W_b`` being the slot's columns of the weights.
-    ``ops`` may carry the pair from :func:`neighbor_mean_ops` and
-    ``first_inputs`` the blocks from :func:`first_layer_inputs` of ``x`` to
-    skip rebuilding them, e.g. across training epochs on a fixed graph.
-    The states are in the precision of ``x``. Raises ``ValueError`` unless
-    ``ops`` and ``first_inputs`` share that precision, and unless every
-    weight has the shape its layer's table gives it for an input as wide as
-    ``x``.
+    its table row, ``W_b`` being the slot's columns of the weights; each
+    block is built, used and dropped in turn. ``ops`` may carry the pair
+    from :func:`neighbor_mean_ops` to skip rebuilding it, e.g. across
+    training epochs on a fixed graph. The states are in the precision of
+    ``x``. Raises ``ValueError`` unless ``ops`` share that precision, and
+    unless every weight has the shape its layer's table gives it for an
+    input as wide as ``x``.
     """
     x = _float_array(x)
     if x.ndim != 2 or x.shape[0] != g.n:
@@ -210,22 +196,20 @@ def forward_pass(
                 f"expected {shape} for input width {x.shape[1]}"
             )
     ops = ops if ops is not None else neighbor_mean_ops(g, x.dtype)
-    _check_precision(x.dtype, "x", ops=ops, first_inputs=_flat(first_inputs or ()))
-    inputs = first_inputs if first_inputs is not None else first_layer_inputs(x, ops)
-    states = []
+    _check_precision(x.dtype, "x", ops=ops)
+    states = [LayerState(friend=x, enemy=x)]
     for layer in range(cfg.layers):
-        if layer:
-            inputs = tuple(_input_blocks(blocks, states[-1], ops) for blocks in _table(cfg, layer))
         friend, enemy = (
-            _activate(blocks, w[layer].astype(x.dtype, copy=False))
-            for blocks, w in zip(inputs, (params.w_friend, params.w_enemy))
+            _activate(row, states[-1], ops, w[layer].astype(x.dtype, copy=False))
+            for row, w in zip(_table(cfg, layer), (params.w_friend, params.w_enemy))
         )
-        states.append(LayerState(friend=friend, enemy=enemy, inputs=inputs))
-    return states
+        states.append(LayerState(friend=friend, enemy=enemy))
+    return states[1:]
 
 
 def backward_pass(
     states: list[LayerState],
+    x: np.ndarray,
     params: SgcnParams,
     cfg: SgcnConfig,
     dz: np.ndarray,
@@ -233,28 +217,30 @@ def backward_pass(
 ) -> SgcnParams:
     """Gradient of an objective with respect to every weight matrix.
 
-    ``states`` and ``ops`` are those :func:`forward_pass` returned and used,
-    and ``dz`` is the objective's gradient at the last layer's
+    ``states``, ``x`` and ``ops`` are those :func:`forward_pass` returned
+    and read, and ``dz`` is the objective's gradient at the last layer's
     :meth:`LayerState.embedding`. Reverse mode through the same layer
-    tables: slot ``b`` of a weight gradient is ``d_pre.T @ block_b``, and
-    each block's gradient ``d_pre @ W_b`` goes back through the transpose of
-    its operator to the track it was read from. The pass runs in the
-    precision of ``dz``; it raises ``ValueError`` unless ``states`` and
-    ``ops`` share it. Each weight gradient is written into an array of its
+    tables, reading each block's source state instead of the block: a
+    slot's operator image ``q = op_b.T @ d_pre`` (``d_pre`` itself for an
+    own-state slot) is taken once, its weight gradient columns are
+    ``(op_b.T @ d_pre).T @ source_b`` and its share of the source track's
+    gradient is ``q @ W_b``. The source is ``x`` at the first layer and
+    the layer below's state above it. The pass runs in the precision of
+    ``dz``; it raises ``ValueError`` unless ``states``, ``x`` and ``ops``
+    share it. Each weight gradient is written into an array of its
     weight's dtype.
 
-    ``dz``, ``states`` and ``ops`` are only read. Each track's ``d_pre`` is
-    written in place into one n x d_hidden buffer that every layer reuses,
-    and the gradient reaching a state sums its parts in place, so the pass
-    holds two such buffers and the two tracks' state gradients, plus one
-    block's product and its operator's image of it at a time.
+    ``dz``, ``states``, ``x`` and ``ops`` are only read. Each track's
+    ``d_pre`` is written in place into one n x d_hidden buffer that every
+    layer reuses, and the gradient reaching a state sums its parts in
+    place, so the pass holds two such buffers and the two tracks' state
+    gradients, plus one slot's operator image and its product at a time.
     """
-    dz = _float_array(dz)
-    arrays = _flat((s.friend, s.enemy, *_flat(s.inputs)) for s in states)
-    _check_precision(dz.dtype, "dz", ops=ops, states=arrays)
+    dz, x = _float_array(dz), _float_array(x)
+    _check_precision(dz.dtype, "dz", ops=ops, features=[x],
+                     states=[a for state in states for a in state])
     h = cfg.d_hidden
     masters = (params.w_friend, params.w_enemy)
-    weights = [[w.astype(dz.dtype, copy=False) for w in ws] for ws in masters]
     grads = ([None] * cfg.layers, [None] * cfg.layers)
     g_state = [dz[:, :h], dz[:, h:]]
     d_pre = [np.empty_like(states[-1].friend), np.empty_like(states[-1].enemy)]
@@ -264,25 +250,25 @@ def backward_pass(
             buf = np.square(states[layer][track], out=d_pre[track])
             np.subtract(1.0, buf, out=buf)
             buf *= g_state[track]
-            grad = grads[track][layer] = np.zeros_like(masters[track][layer])
-            blocks = states[layer].inputs[track]
-            for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
-                columns[...] = buf.T @ block
-        if layer == 0:
-            break  # the features x are not trained
+            grads[track][layer] = np.zeros_like(masters[track][layer])
+        source = (x, x) if layer == 0 else states[layer - 1]
         table = _table(cfg, layer)
-        slots = [np.split(weights[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
+        columns = [np.split(grads[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
+        slots = [np.split(w[layer].astype(dz.dtype, copy=False), len(table[track]), axis=1)
+                 for track, w in enumerate(masters)]
         # Slot by slot, so each track sums its P, N and own parts in that order.
         g_state = [None, None]
         for slot, column in enumerate(zip(*table)):
-            for track, (op, source) in enumerate(column):
-                part = d_pre[track] @ slots[track][slot]
-                if op != _OWN:
-                    part = ops[op].T @ part
-                if g_state[source] is None:
-                    g_state[source] = part
+            for track, (op, src) in enumerate(column):
+                q = d_pre[track] if op == _OWN else ops[op].T @ d_pre[track]
+                columns[track][slot][...] = q.T @ source[src]
+                if layer == 0:
+                    continue  # the features x are not trained
+                part = q @ slots[track][slot]
+                if g_state[src] is None:
+                    g_state[src] = part
                 else:
-                    g_state[source] += part
+                    g_state[src] += part
     return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
 
 
@@ -308,11 +294,6 @@ def _check_precision(dtype, of: str, **operands) -> None:
                 )
 
 
-def _flat(groups) -> list:
-    """The members of each group, in order."""
-    return [a for group in groups for a in group]
-
-
 def _table(cfg: SgcnConfig, layer: int):
     """The table ``layer`` reads: the sign-separated one first, then the variant's."""
     return _SPLIT if layer == 0 else _LATER_TABLE[cfg.variant]
@@ -326,16 +307,13 @@ def _weight_shapes(cfg: SgcnConfig, d_in: int):
             yield layer, track, (cfg.d_hidden, len(row) * width)
 
 
-def _input_blocks(blocks, state: LayerState, ops) -> tuple[np.ndarray, ...]:
-    """One track's input blocks read off ``state``, in slot order."""
-    return tuple(state[source] if op == _OWN else ops[op] @ state[source] for op, source in blocks)
-
-
-def _activate(blocks, w: np.ndarray) -> np.ndarray:
-    """``tanh([blocks] @ w.T)``, summed slot by slot."""
-    slots = np.split(w, len(blocks), axis=1)
-    pre = blocks[0] @ slots[0].T
-    for block, columns in zip(blocks[1:], slots[1:]):
-        pre += block @ columns.T
+def _activate(row, state: LayerState, ops, w: np.ndarray) -> np.ndarray:
+    """``tanh([blocks] @ w.T)`` of one track's table row on ``state``, summed slot by slot."""
+    pre = None
+    for (op, source), columns in zip(row, np.split(w, len(row), axis=1)):
+        block = state[source] if op == _OWN else ops[op] @ state[source]
+        if pre is None:
+            pre = block @ columns.T
+        else:
+            pre += block @ columns.T
     return np.tanh(pre, out=pre)
-

@@ -47,7 +47,6 @@ from .model import (
     SgcnConfig,
     SgcnParams,
     backward_pass,
-    first_layer_inputs,
     forward_pass,
     init_params,
     neighbor_mean_ops,
@@ -320,9 +319,9 @@ def fit(
     returned ``params`` and ``mlg``. The embeddings are the float32 output
     of the final forward pass. A float32 ``x``, as
     :func:`sgcn.evaluation.model_input` returns, is used as is, not copied.
-    Across the run ``fit`` keeps ``x``, the operators and the first layer's
-    input blocks; each epoch's layer states are dropped once its gradient
-    is taken, before the next forward pass builds their successors.
+    Across the run ``fit`` keeps ``x`` and the operators; each epoch's
+    layer states are dropped once its gradient is taken, before the next
+    forward pass builds their successors.
 
     Raises :class:`DivergenceError` if the loss stops being finite, or once
     a weight is past float32's range, before a pass would cast it to inf.
@@ -331,7 +330,6 @@ def fit(
     mlg = MlgParams.zeros(sgcn_cfg.embedding_dim)
     x = np.asarray(x, dtype=_TRAIN_DTYPE)
     ops = neighbor_mean_ops(train, x.dtype)
-    first_inputs = first_layer_inputs(x, ops)  # x is fixed, so these are too
     history: list[LossParts] = []
     trained = params.all_weights() + [mlg.theta, mlg.bias]
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in trained]
@@ -340,11 +338,11 @@ def fit(
         top = max(float(np.abs(w).max()) for w in trained)
         if not top <= limit:
             raise DivergenceError(epoch, f"weight magnitude {top!r} past the {x.dtype} range")
-        states = forward_pass(train, x, params, sgcn_cfg, ops=ops, first_inputs=first_inputs)
+        states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
         if epoch == cfg.epochs:
             break  # the states after the last step, which give the embeddings
         batch = sample_batch(train, cfg, epoch)
-        parts, grad_w, grad_mlg = _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)
+        parts, grad_w, grad_mlg = _backward(states, x, params, mlg, batch, cfg, sgcn_cfg, ops)
         del states  # so the next pass does not hold two epochs' states
         if not np.isfinite(parts.total):
             raise DivergenceError(epoch, f"non-finite loss {parts.total!r}")
@@ -369,6 +367,7 @@ def _adam_step(w, g, m, v, t: int, learning_rate: float) -> None:
 
 def _backward(
     states: list[LayerState],
+    x: np.ndarray,
     params: SgcnParams,
     mlg: MlgParams,
     batch: TrainBatch,
@@ -381,13 +380,14 @@ def _backward(
     One pass: the loss parts are read off the logits, exp-sums and hinge
     slack that the gradient is built from. A non-finite loss stops the pass
     before it goes through the model, where it would only overflow, and both
-    gradients are then ``None``. Raises ``ValueError`` on a batch without
-    pairs.
+    gradients are then ``None``. ``states``, ``x`` and ``ops`` are those
+    the forward pass returned and read. Raises ``ValueError`` on a batch
+    without pairs.
     """
     parts, dz, grad_mlg = _objective(states[-1].embedding(), mlg, batch, params, cfg)
     if not np.isfinite(parts.total):
         return parts, None, None
-    grad_w = backward_pass(states, params, sgcn_cfg, dz, ops)
+    grad_w = backward_pass(states, x, params, sgcn_cfg, dz, ops)
     for gw, w in zip(grad_w.all_weights(), params.all_weights()):
         gw += 2.0 * cfg.reg_coeff * w
     return parts, grad_w, grad_mlg

@@ -4,12 +4,14 @@ Everything here is written for transparency over speed: neighbour lookups
 and invariant checks read entry by entry off the adjacency, a dict fold of
 raw records, exhaustive walk enumeration, exhaustive 2-coloring, a stack
 walk that 2-colours each component, pairwise AUC counting, a logistic
-probe fit on explicit pair features, an allocating backward pass, and
-central finite differences. None of it shares code with the implementations
-under test, except :func:`gradients`: it runs the library's own forward and
-backward pass for one batch, so that the tests can hold that gradient
-against central differences. The probe oracle reads only the library's
-penalty and step cap, and the backward oracle only the layer tables.
+probe fit on explicit pair features, a forward and a backward pass that
+build every input block as its own array, an allocating backward pass in
+the library's association, and central finite differences. None of it
+shares code with the implementations under test, except
+:func:`gradients`: it runs the library's own forward and backward pass for
+one batch, so that the tests can hold that gradient against central
+differences. The probe oracle reads only the library's penalty and step
+cap, and the model oracles only the layer tables.
 """
 
 from __future__ import annotations
@@ -309,37 +311,85 @@ def central_difference(fn, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def allocating_backward_pass(states, params, sgcn_cfg, dz, ops) -> SgcnParams:
-    """:func:`sgcn.model.backward_pass` as plain expressions, each result a new array.
+def block_forward_pass(g, x, params, sgcn_cfg, ops) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every layer's ``(friend, enemy)`` states, each input block built as its own array.
 
-    Every ``d_pre`` is ``g * (1 - s**2)`` and every state gradient the sum
-    ``g + part`` of new arrays, so nothing is written in place; the sums
-    run slot by slot in the tables' P, N, own order, as the library's do.
+    A track's pre-activation is the slot-by-slot sum of ``block @ W_b.T``,
+    each sum a new array, and the state is its ``tanh``; ``ops`` must be
+    in the precision of ``x``.
+    """
+    x = np.asarray(x)
+    states, source = [], (x, x)
+    for layer in range(sgcn_cfg.layers):
+        tracks = []
+        for row, ws in zip(_table(sgcn_cfg, layer), (params.w_friend, params.w_enemy)):
+            blocks = [source[s] if op == _OWN else ops[op] @ source[s] for op, s in row]
+            slots = np.split(ws[layer].astype(x.dtype), len(row), axis=1)
+            pre = blocks[0] @ slots[0].T
+            for block, columns in zip(blocks[1:], slots[1:]):
+                pre = pre + block @ columns.T
+            tracks.append(np.tanh(pre))
+        states.append(source := tuple(tracks))
+    return states
+
+
+def _backward_oracle(states, x, params, sgcn_cfg, dz, ops, slot_grads) -> SgcnParams:
+    """Reverse mode through the layer tables as plain expressions, each result a new array.
+
+    ``slot_grads(d_pre, op, source, w_b)`` gives one slot's weight gradient
+    columns and its part of the source track's gradient. Every ``d_pre`` is
+    ``g * (1 - s**2)`` and every state gradient the sum ``g + part``, run
+    slot by slot in the tables' P, N, own order, as the library's are.
     """
     h = sgcn_cfg.d_hidden
     masters = (params.w_friend, params.w_enemy)
-    weights = [[w.astype(dz.dtype, copy=False) for w in ws] for ws in masters]
     grads = ([None] * sgcn_cfg.layers, [None] * sgcn_cfg.layers)
     g_state = [dz[:, :h], dz[:, h:]]
     for layer in range(sgcn_cfg.layers - 1, -1, -1):
         d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
-        for track in (_F, _E):
-            grad = grads[track][layer] = np.zeros_like(masters[track][layer])
-            blocks = states[layer].inputs[track]
-            for block, columns in zip(blocks, np.split(grad, len(blocks), axis=1)):
-                columns[...] = d_pre[track].T @ block
-        if layer == 0:
-            break
+        source = (x, x) if layer == 0 else states[layer - 1]
         table = _table(sgcn_cfg, layer)
-        slots = [np.split(weights[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
+        slots = [np.split(masters[track][layer].astype(dz.dtype), len(table[track]), axis=1)
+                 for track in (_F, _E)]
+        columns = [[], []]
         g_state = [None, None]
         for slot, column in enumerate(zip(*table)):
-            for track, (op, source) in enumerate(column):
-                part = d_pre[track] @ slots[track][slot]
-                if op != _OWN:
-                    part = ops[op].T @ part
-                g_state[source] = part if g_state[source] is None else g_state[source] + part
+            for track, (op, s) in enumerate(column):
+                w_grad, part = slot_grads(d_pre[track], ops[op] if op != _OWN else None,
+                                          source[s], slots[track][slot])
+                columns[track].append(w_grad)
+                g_state[s] = part if g_state[s] is None else g_state[s] + part
+        for track in (_F, _E):
+            grads[track][layer] = np.hstack(columns[track]).astype(masters[track][layer].dtype)
     return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
+
+
+def allocating_backward_pass(states, x, params, sgcn_cfg, dz, ops) -> SgcnParams:
+    """:func:`sgcn.model.backward_pass` as plain expressions, in its association.
+
+    A slot's operator image ``q = op.T @ d_pre`` (``d_pre`` for an own
+    slot) gives its weight gradient ``q.T @ source`` and its state part
+    ``q @ W_b``.
+    """
+    def slot_grads(d_pre, op, source, w_b):
+        q = d_pre if op is None else op.T @ d_pre
+        return q.T @ source, q @ w_b
+
+    return _backward_oracle(states, x, params, sgcn_cfg, dz, ops, slot_grads)
+
+
+def block_backward_pass(states, x, params, sgcn_cfg, dz, ops) -> SgcnParams:
+    """Reverse mode in the association that reads each input block.
+
+    A slot's block ``op @ source`` is built as its own array, its weight
+    gradient is ``d_pre.T @ block`` and its state part ``op.T @ (d_pre @ W_b)``.
+    """
+    def slot_grads(d_pre, op, source, w_b):
+        block = source if op is None else op @ source
+        part = d_pre @ w_b
+        return d_pre.T @ block, part if op is None else op.T @ part
+
+    return _backward_oracle(states, x, params, sgcn_cfg, dz, ops, slot_grads)
 
 
 def gradients(train, x, params, mlg, batch, cfg, sgcn_cfg):
@@ -352,4 +402,4 @@ def gradients(train, x, params, mlg, batch, cfg, sgcn_cfg):
     """
     ops = neighbor_mean_ops(train)
     states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
-    return _backward(states, params, mlg, batch, cfg, sgcn_cfg, ops)[1:]
+    return _backward(states, x, params, mlg, batch, cfg, sgcn_cfg, ops)[1:]

@@ -18,7 +18,6 @@ from sgcn.graph import load_edge_list, to_undirected
 from sgcn.model import (
     SgcnConfig,
     backward_pass,
-    first_layer_inputs,
     forward_pass,
     init_params,
     neighbor_mean_ops,
@@ -41,7 +40,6 @@ def alpha():
     ``x``, as ``model_input`` returns it, the operators, the states and
     ``dz`` are in the precision ``fit`` runs its passes in, so each stage
     times the call ``fit`` makes.
-    ``first`` holds the first layer's input blocks ``(P.x, x)`` and ``(N.x, x)``.
     """
     g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
     split, features = split_and_features(g, 0.2, seed=0, dim=DIM)
@@ -50,16 +48,14 @@ def alpha():
     cfg = SgcnConfig(d_in=DIM)
     params = init_params(cfg, seed=0)
     ops = neighbor_mean_ops(train, _TRAIN_DTYPE)
-    first = first_layer_inputs(x, ops)
-    assert all(own is x for _, own in first)  # the own-state blocks are x, not copies
-    states = forward_pass(train, x, params, cfg, ops=ops, first_inputs=first)
+    states = forward_pass(train, x, params, cfg, ops=ops)
     rng = np.random.default_rng(0)
     dz = rng.standard_normal((train.n, cfg.embedding_dim)).astype(_TRAIN_DTYPE)
     mlg = MlgParams(theta=0.1 * rng.standard_normal((3, 2 * cfg.embedding_dim)),
                     bias=np.zeros(3))
     batch = sample_batch(train, TrainConfig(), 0)
     return dict(split=split, train=train, features=features, x=x, cfg=cfg, params=params,
-                ops=ops, first=first, states=states, dz=dz, mlg=mlg, batch=batch)
+                ops=ops, states=states, dz=dz, mlg=mlg, batch=batch)
 
 
 def test_sample_batch(benchmark, alpha):
@@ -72,7 +68,7 @@ def test_forward_pass(benchmark, alpha):
     a = alpha
     states = benchmark.pedantic(
         forward_pass, args=(a["train"], a["x"], a["params"], a["cfg"]),
-        kwargs=dict(ops=a["ops"], first_inputs=a["first"]), rounds=3,
+        kwargs=dict(ops=a["ops"]), rounds=3,
     )
     assert np.array_equal(states[-1].friend, a["states"][-1].friend)
 
@@ -80,10 +76,11 @@ def test_forward_pass(benchmark, alpha):
 def test_backward_pass(benchmark, alpha):
     a = alpha
     grads = benchmark.pedantic(
-        backward_pass, args=(a["states"], a["params"], a["cfg"], a["dz"], a["ops"]),
+        backward_pass, args=(a["states"], a["x"], a["params"], a["cfg"], a["dz"], a["ops"]),
         rounds=3,
     )
-    expected = allocating_backward_pass(a["states"], a["params"], a["cfg"], a["dz"], a["ops"])
+    expected = allocating_backward_pass(a["states"], a["x"], a["params"], a["cfg"], a["dz"],
+                                        a["ops"])
     for got, want in zip(grads.all_weights(), expected.all_weights(), strict=True):
         assert np.array_equal(got, want)
 
@@ -92,7 +89,8 @@ def test_objective_and_gradient(benchmark, alpha):
     a = alpha
     parts, grad_w, grad_mlg = benchmark.pedantic(
         _backward,
-        args=(a["states"], a["params"], a["mlg"], a["batch"], TrainConfig(), a["cfg"], a["ops"]),
+        args=(a["states"], a["x"], a["params"], a["mlg"], a["batch"], TrainConfig(), a["cfg"],
+              a["ops"]),
         rounds=3,
     )
     assert np.isfinite(parts.total)

@@ -10,13 +10,18 @@ from sgcn.model import (
     SgcnParams,
     backward_pass,
     embed_all,
-    first_layer_inputs,
     forward_pass,
     init_params,
     neighbor_mean_ops,
 )
 
-from oracles import allocating_backward_pass, neighbor_sets, random_signed_graph
+from oracles import (
+    allocating_backward_pass,
+    block_backward_pass,
+    block_forward_pass,
+    neighbor_sets,
+    random_signed_graph,
+)
 
 MODELS = {
     "sgcn-1": dict(layers=1),
@@ -375,35 +380,65 @@ class TestEmbedAll:
 
 
 def model_pass(seed, n, d_in, d_hidden, model, dtype):
-    """A random graph, its states and operators in ``dtype``, and a random ``dz``."""
+    """A random graph, its features, states and operators in ``dtype``, and a random ``dz``."""
     rng = np.random.default_rng(seed)
     g = random_signed_graph(rng, n)
     cfg = SgcnConfig(d_in=d_in, d_hidden=d_hidden, **MODELS[model])
     params = init_params(cfg, seed)
     ops = neighbor_mean_ops(g, dtype)
-    states = forward_pass(g, rng.standard_normal((n, d_in)).astype(dtype), params, cfg, ops=ops)
+    x = rng.standard_normal((n, d_in)).astype(dtype)
+    states = forward_pass(g, x, params, cfg, ops=ops)
     dz = rng.standard_normal((n, cfg.embedding_dim)).astype(dtype)
-    return g, cfg, params, ops, states, dz
+    return g, cfg, params, ops, x, states, dz
+
+
+PASSES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d_in=st.integers(1, 4),
+              d_hidden=st.integers(1, 4), model=st.sampled_from(sorted(MODELS)))
+
+
+class TestForwardPass:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(**PASSES, dtype=st.sampled_from([np.float32, np.float64]))
+    def test_matches_the_block_oracle_bit_for_bit(self, seed, n, d_in, d_hidden, model, dtype):
+        # Building each block inside the sum and dropping it moves no bit.
+        g, cfg, params, ops, x, states, _ = model_pass(seed, n, d_in, d_hidden, model, dtype)
+        expected = block_forward_pass(g, x, params, cfg, ops)
+        assert len(states) == len(expected) == cfg.layers
+        for state, want in zip(states, expected):
+            for got, w in zip(state, want):
+                assert got.dtype == w.dtype == dtype
+                assert np.array_equal(got, w)
 
 
 class TestBackwardPass:
     @settings(derandomize=True, deadline=None, max_examples=120)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d_in=st.integers(1, 4),
-           d_hidden=st.integers(1, 4), model=st.sampled_from(sorted(MODELS)),
-           dtype=st.sampled_from([np.float32, np.float64]))
+    @given(**PASSES, dtype=st.sampled_from([np.float32, np.float64]))
     def test_matches_the_allocating_oracle_bit_for_bit(self, seed, n, d_in, d_hidden, model,
                                                        dtype):
-        _, cfg, params, ops, states, dz = model_pass(seed, n, d_in, d_hidden, model, dtype)
-        arrays = [dz, *(a for s in states for a in (s.friend, s.enemy, *sum(s.inputs, ())))]
+        _, cfg, params, ops, x, states, dz = model_pass(seed, n, d_in, d_hidden, model, dtype)
+        arrays = [dz, x, *(a for s in states for a in s)]
         arrays += [a for op in ops for a in (op.data, op.indices, op.indptr)]
         before = [a.copy() for a in arrays]
-        grads = backward_pass(states, params, cfg, dz, ops)
+        grads = backward_pass(states, x, params, cfg, dz, ops)
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
-        expected = allocating_backward_pass(states, params, cfg, dz, ops)
+        expected = allocating_backward_pass(states, x, params, cfg, dz, ops)
         for got, want in zip(grads.all_weights(), expected.all_weights()):
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(**PASSES)
+    def test_matches_the_block_oracle_in_float64(self, seed, n, d_in, d_hidden, model):
+        # The reassociation reorders float64 sums of at most n terms. The
+        # worst gap over these draws is 6.9e-16 of a gradient's largest
+        # entry (1.4e-15 over 3000 draws); a wrong product is off by O(1).
+        _, cfg, params, ops, x, states, dz = model_pass(seed, n, d_in, d_hidden, model,
+                                                        np.float64)
+        grads = backward_pass(states, x, params, cfg, dz, ops)
+        expected = block_backward_pass(states, x, params, cfg, dz, ops)
+        for got, want in zip(grads.all_weights(), expected.all_weights(), strict=True):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestPrecisionRefused:
@@ -417,34 +452,25 @@ class TestPrecisionRefused:
         with pytest.raises(ValueError, match="ops are float32 but x is float64"):
             forward_pass(g, x.astype(np.float64), params, cfg, ops=neighbor_mean_ops(g, np.float32))
 
-    def test_forward_refuses_first_inputs_of_another_precision(self):
-        g, cfg, params, *_ = model_pass(0, 6, 2, 2, "sgcn-2", np.float32)
-        x = np.ones((6, 2))
-        first = first_layer_inputs(x, neighbor_mean_ops(g))
-        with pytest.raises(ValueError, match="first_inputs are float64 but x is float32"):
-            forward_pass(g, x.astype(np.float32), params, cfg,
-                         ops=neighbor_mean_ops(g, np.float32), first_inputs=first)
-
-    def test_first_layer_inputs_refuse_operators_of_another_precision(self):
-        g = mixed_path()
-        with pytest.raises(ValueError, match="ops are float64 but x is float32"):
-            first_layer_inputs(np.ones((3, 2), dtype=np.float32), neighbor_mean_ops(g))
-
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_backward_refuses_operators_of_another_precision(self, model):
-        g, cfg, params, _, states, dz = model_pass(1, 7, 3, 2, model, np.float32)
+        g, cfg, params, _, x, states, dz = model_pass(1, 7, 3, 2, model, np.float32)
         with pytest.raises(ValueError, match="ops are float64 but dz is float32"):
-            backward_pass(states, params, cfg, dz, neighbor_mean_ops(g, np.float64))
+            backward_pass(states, x, params, cfg, dz, neighbor_mean_ops(g, np.float64))
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_backward_refuses_x_of_another_precision(self, model):
+        _, cfg, params, ops, x, states, dz = model_pass(1, 7, 3, 2, model, np.float32)
+        with pytest.raises(ValueError, match="features are float64 but dz is float32"):
+            backward_pass(states, x.astype(np.float64), params, cfg, dz, ops)
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_backward_refuses_states_of_another_precision(self, model):
-        g, cfg, params, ops, states, dz = model_pass(1, 7, 3, 2, model, np.float64)
+        g, cfg, params, ops, x, states, dz = model_pass(1, 7, 3, 2, model, np.float64)
         with pytest.raises(ValueError, match="states are float64 but dz is float32"):
-            backward_pass(states, params, cfg, dz.astype(np.float32),
+            backward_pass(states, x.astype(np.float32), params, cfg, dz.astype(np.float32),
                           neighbor_mean_ops(g, np.float32))
-        # One float32 input block among float64 states is refused too.
-        last = states[-1]
-        friend_blocks = (last.inputs[0][0].astype(np.float32), *last.inputs[0][1:])
-        states[-1] = last._replace(inputs=(friend_blocks, last.inputs[1]))
+        # One float32 state among float64 states is refused too.
+        states[0] = states[0]._replace(enemy=states[0].enemy.astype(np.float32))
         with pytest.raises(ValueError, match="states are float32 but dz is float64"):
-            backward_pass(states, params, cfg, dz, ops)
+            backward_pass(states, x, params, cfg, dz, ops)

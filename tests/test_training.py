@@ -540,12 +540,12 @@ class TestFit:
         assert max(moves) <= bound
         assert max(moves) >= 0.5 * cfg.learning_rate
 
-    def test_peak_memory_stays_under_twelve_embeddings(self):
+    def test_peak_memory_stays_under_nine_embeddings(self):
         # A sparse graph with few anchors per batch, so the per-node arrays
-        # set the peak, in the backward pass: the first layer's blocks, one
-        # epoch's states, dz and the pass's buffers. An embedding, n x
-        # 2*d_hidden float32, is the unit. The fit peaks at 11.4 of them; a
-        # backward pass that allocates every product took it to 12.4.
+        # set the peak, in the backward pass: x, one epoch's states, dz and
+        # the pass's buffers. An embedding, n x 2*d_hidden float32, is the
+        # unit. The fit peaks at 7.9 of them; a forward pass that keeps
+        # every input block for the backward pass took it to 11.4.
         n, d_hidden = 2000, 32
         rng = np.random.default_rng(3)
         ends = rng.integers(n, size=(4000, 2))
@@ -561,14 +561,14 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * n * 2 * d_hidden * 4
+        assert peak < 9 * n * 2 * d_hidden * 4
 
     def test_each_epochs_states_dropped_before_the_next_pass(self, monkeypatch):
         alive = []
         forward = training.forward_pass
 
         def checked_forward(*args, **kwargs):
-            # The states of the last pass are gone, the first layer's blocks kept.
+            # The states of the last pass are gone before the next is built.
             assert all(ref() is None for ref in alive)
             states = forward(*args, **kwargs)
             alive[:] = [weakref.ref(a) for s in states for a in (s.friend, s.enemy)]
@@ -600,15 +600,13 @@ class TestPrecision:
         seen = []
         backward, adam_step = training.backward_pass, training._adam_step
 
-        def checked_backward(states, params, sgcn_cfg, dz, ops):
-            assert dz.dtype == np.float32
+        def checked_backward(states, x, params, sgcn_cfg, dz, ops):
+            assert dz.dtype == x.dtype == np.float32
             for state in states:
                 assert state.friend.dtype == state.enemy.dtype == np.float32
-                for blocks in state.inputs:
-                    assert all(b.dtype == np.float32 for b in blocks)
             assert [op.dtype for op in ops] == [np.float32, np.float32]
             assert all(w.dtype == np.float64 for w in params.all_weights())
-            grads = backward(states, params, sgcn_cfg, dz, ops)
+            grads = backward(states, x, params, sgcn_cfg, dz, ops)
             assert all(gw.dtype == np.float64 for gw in grads.all_weights())
             seen.append("backward")
             return grads
@@ -647,7 +645,7 @@ class TestPrecision:
                                          params, cfg)
         assert np.isfinite(parts.total) and dz.dtype == dtype
         assert grad_mlg.theta.dtype == grad_mlg.bias.dtype == np.float64
-        grads = backward_pass(states, params, sgcn_cfg, dz, neighbor_mean_ops(g, dtype))
+        grads = backward_pass(states, x, params, sgcn_cfg, dz, neighbor_mean_ops(g, dtype))
         assert all(gw.dtype == np.float64 for gw in grads.all_weights())
 
     @pytest.mark.dataset
@@ -669,7 +667,7 @@ class TestPrecision:
         for dtype in (np.float64, training._TRAIN_DTYPE):
             ops = neighbor_mean_ops(train, dtype)
             states = forward_pass(train, inputs[dtype], params, sgcn_cfg, ops=ops)
-            passes.append(_backward(states, params, mlg, batch, cfg, sgcn_cfg, ops))
+            passes.append(_backward(states, inputs[dtype], params, mlg, batch, cfg, sgcn_cfg, ops))
         (parts64, w64, mlg64), (parts32, w32, mlg32) = passes
         assert parts32.total == pytest.approx(parts64.total, rel=1e-4)
         exact = w64.all_weights() + [mlg64.theta, mlg64.bias]
