@@ -26,8 +26,11 @@ building the concatenation, and keeps no block once it is summed. The
 backward pass reassociates instead of reading blocks: slot ``b``'s weight
 gradient ``d_pre.T @ (op_b @ source_b)`` is taken as
 ``(op_b.T @ d_pre).T @ source_b``, so it needs only the states, ``x`` and
-the operators. The final embedding is the concatenation of both tracks'
-last-layer states.
+the operators. It takes the gradient at the last layer's states one array
+per track, and uses up its inputs as it goes down: each layer's states are
+popped off their list once read for the last time, and the gradient's
+arrays are overwritten with every layer's ``d_pre``. The final embedding
+is the concatenation of both tracks' last-layer states.
 
 A pass computes in the precision of its node arrays: ``x`` for
 :func:`forward_pass`, ``dz`` for :func:`backward_pass`. Float32 stays
@@ -121,8 +124,9 @@ class LayerState(NamedTuple):
     """Hidden matrices (n x d_hidden) of both tracks at one layer.
 
     The states are all that :func:`backward_pass` reads of a forward pass,
-    besides ``x``. :meth:`embedding` is the one place that lays the tracks
-    side by side.
+    besides ``x``. The same pair carries a gradient at one layer's states,
+    one array per track, as :func:`backward_pass` takes it. :meth:`embedding`
+    is the one place that lays the tracks side by side.
     """
 
     friend: np.ndarray
@@ -212,63 +216,76 @@ def backward_pass(
     x: np.ndarray,
     params: SgcnParams,
     cfg: SgcnConfig,
-    dz: np.ndarray,
+    dz: LayerState,
     ops: tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix],
 ) -> SgcnParams:
     """Gradient of an objective with respect to every weight matrix.
 
     ``states``, ``x`` and ``ops`` are those :func:`forward_pass` returned
     and read, and ``dz`` is the objective's gradient at the last layer's
-    :meth:`LayerState.embedding`. Reverse mode through the same layer
-    tables, reading each block's source state instead of the block: a
-    slot's operator image ``q = op_b.T @ d_pre`` (``d_pre`` itself for an
-    own-state slot) is taken once, its weight gradient columns are
+    states, one n x d_hidden array per track. Reverse mode through the
+    same layer tables, reading each block's source state instead of the
+    block: a slot's operator image ``q = op_b.T @ d_pre`` (``d_pre`` itself
+    for an own-state slot) is taken once, its weight gradient columns are
     ``(op_b.T @ d_pre).T @ source_b`` and its share of the source track's
     gradient is ``q @ W_b``. The source is ``x`` at the first layer and
     the layer below's state above it. The pass runs in the precision of
-    ``dz``; it raises ``ValueError`` unless ``states``, ``x`` and ``ops``
-    share it. Each weight gradient is written into an array of its
-    weight's dtype.
+    ``dz``; it raises ``ValueError`` unless both tracks of ``dz``,
+    ``states``, ``x`` and ``ops`` share it. Each weight gradient is written
+    into an array of its weight's dtype.
 
-    ``dz``, ``states``, ``x`` and ``ops`` are only read. Each track's
-    ``d_pre`` is written in place into one n x d_hidden buffer that every
-    layer reuses, and the gradient reaching a state sums its parts in
-    place, so the pass holds two such buffers and the two tracks' state
-    gradients, plus one slot's operator image and its product at a time.
+    The pass uses up ``states`` and ``dz``: it pops each layer's state off
+    the list once the layer's ``tanh'`` and its use as a source are done,
+    so the list comes back empty, and it overwrites ``dz``'s arrays with
+    every layer's ``d_pre`` in turn. ``x`` and ``ops``, and the state
+    arrays themselves, are only read. The gradient reaching a layer's
+    states goes into two n x d_hidden buffers that every layer reuses: a
+    track's first part is written into its buffer and each later part is
+    formed in one scratch array and added in place. So besides ``dz`` the
+    pass holds three such arrays and one slot's operator image at a time.
     """
-    dz, x = _float_array(dz), _float_array(x)
-    _check_precision(dz.dtype, "dz", ops=ops, features=[x],
+    dz = LayerState(*(_float_array(g) for g in dz))
+    x, dtype = _float_array(x), dz.friend.dtype
+    if dz.enemy.dtype != dtype:
+        raise ValueError(
+            f"dz's tracks are {dtype} and {dz.enemy.dtype}: a pass computes in one precision"
+        )
+    _check_precision(dtype, "dz", ops=ops, features=[x],
                      states=[a for state in states for a in state])
-    h = cfg.d_hidden
     masters = (params.w_friend, params.w_enemy)
     grads = ([None] * cfg.layers, [None] * cfg.layers)
-    g_state = [dz[:, :h], dz[:, h:]]
-    d_pre = [np.empty_like(states[-1].friend), np.empty_like(states[-1].enemy)]
+    # dz's arrays hold the top layer's state gradient and then every layer's
+    # d_pre; the gradients reaching lower layers' states get two buffers.
+    d_pre, g_state, scratch = list(dz), dz, np.empty_like(dz.friend)
     for layer in range(cfg.layers - 1, -1, -1):
+        state = states.pop()  # read here for tanh', and as a source one layer up
         for track in (_F, _E):
             # tanh' = 1 - tanh^2, read off the layer's output; d_pre = g * tanh'.
-            buf = np.square(states[layer][track], out=d_pre[track])
-            np.subtract(1.0, buf, out=buf)
-            buf *= g_state[track]
+            np.square(state[track], out=scratch)
+            np.subtract(1.0, scratch, out=scratch)
+            np.multiply(g_state[track], scratch, out=d_pre[track])
             grads[track][layer] = np.zeros_like(masters[track][layer])
-        source = (x, x) if layer == 0 else states[layer - 1]
+        del state
+        if g_state is dz and layer > 0:
+            g_state = [np.empty_like(scratch), np.empty_like(scratch)]
+        source = (x, x) if layer == 0 else states[-1]
         table = _table(cfg, layer)
         columns = [np.split(grads[track][layer], len(table[track]), axis=1) for track in (_F, _E)]
-        slots = [np.split(w[layer].astype(dz.dtype, copy=False), len(table[track]), axis=1)
+        slots = [np.split(w[layer].astype(dtype, copy=False), len(table[track]), axis=1)
                  for track, w in enumerate(masters)]
         # Slot by slot, so each track sums its P, N and own parts in that order.
-        g_state = [None, None]
+        started = [False, False]
         for slot, column in enumerate(zip(*table)):
             for track, (op, src) in enumerate(column):
                 q = d_pre[track] if op == _OWN else ops[op].T @ d_pre[track]
                 columns[track][slot][...] = q.T @ source[src]
                 if layer == 0:
                     continue  # the features x are not trained
-                part = q @ slots[track][slot]
-                if g_state[src] is None:
-                    g_state[src] = part
+                if started[src]:
+                    g_state[src] += np.matmul(q, slots[track][slot], out=scratch)
                 else:
-                    g_state[src] += part
+                    np.matmul(q, slots[track][slot], out=g_state[src])
+                    started[src] = True
     return SgcnParams(w_friend=grads[_F], w_enemy=grads[_E])
 
 

@@ -7,14 +7,14 @@ unlinked ones and pushing negatively linked nodes farther than unlinked
 ones; and an L2 penalty on all weights. One pass over a batch gives the
 three values and the gradient together, whatever the terms' weights: the
 gradient is computed in closed form by reverse mode from the same logits
-and hinge slack, down to the embedding here and then through the layers
-by :func:`sgcn.model.backward_pass`, with the hinge subgradient taken as
-zero exactly at the kink. A hinge's slack is a difference of squared
-distances, a quadratic form in the embedding, so the gradient at the
-embedding is two sparse products: the classifier's per-node sums through
-its weights, and one sparse symmetric matrix of the active hinges times
-the embedding. A zero weight is not a skipped term: it scales the term's
-value and gradient to exact zeros.
+and hinge slack, down to the last layer's states here, one array per
+track, and then through the layers by :func:`sgcn.model.backward_pass`,
+with the hinge subgradient taken as zero exactly at the kink. A hinge's
+slack is a difference of squared distances, a quadratic form in the
+embedding, so the gradient at the embedding is two sparse products: the
+classifier's per-node sums through its weights, and one sparse symmetric
+matrix of the active hinges times the embedding. A zero weight is not a
+skipped term: it scales the term's value and gradient to exact zeros.
 
 Training steps with Adam (Kingma & Ba, arXiv:1412.6980). The hinge terms
 carry no margin constant, so they scale with the square of the embedding
@@ -268,10 +268,12 @@ def loss_parts(
     """Evaluate the three objective components at the given embeddings.
 
     The parts of the same pass that :func:`_backward` makes for training,
-    so both read the same numbers; the gradient it builds is dropped.
-    Raises ``ValueError`` on a batch without pairs.
+    so both read the same numbers; ``z``'s halves are read as the friend
+    and enemy tracks, and the gradient the pass builds is dropped. Raises
+    ``ValueError`` on a batch without pairs.
     """
-    return _objective(z, mlg, batch, params, cfg)[0]
+    h = z.shape[1] // 2
+    return _objective(LayerState(z[:, :h], z[:, h:]), mlg, batch, params, cfg)[0]
 
 
 def _pair_columns(batch: TrainBatch):
@@ -319,9 +321,10 @@ def fit(
     returned ``params`` and ``mlg``. The embeddings are the float32 output
     of the final forward pass. A float32 ``x``, as
     :func:`sgcn.evaluation.model_input` returns, is used as is, not copied.
-    Across the run ``fit`` keeps ``x`` and the operators; each epoch's
-    layer states are dropped once its gradient is taken, before the next
-    forward pass builds their successors.
+    Across the run ``fit`` keeps ``x`` and the operators. Each epoch's
+    layer states are used up by the backward pass, which pops them off
+    their list layer by layer, so none is left when the next forward pass
+    builds their successors.
 
     Raises :class:`DivergenceError` if the loss stops being finite, or once
     a weight is past float32's range, before a pass would cast it to inf.
@@ -343,7 +346,7 @@ def fit(
             break  # the states after the last step, which give the embeddings
         batch = sample_batch(train, cfg, epoch)
         parts, grad_w, grad_mlg = _backward(states, x, params, mlg, batch, cfg, sgcn_cfg, ops)
-        del states  # so the next pass does not hold two epochs' states
+        del states  # emptied by the backward pass, unless the loss was not finite
         if not np.isfinite(parts.total):
             raise DivergenceError(epoch, f"non-finite loss {parts.total!r}")
         history.append(parts)
@@ -381,10 +384,12 @@ def _backward(
     slack that the gradient is built from. A non-finite loss stops the pass
     before it goes through the model, where it would only overflow, and both
     gradients are then ``None``. ``states``, ``x`` and ``ops`` are those
-    the forward pass returned and read. Raises ``ValueError`` on a batch
-    without pairs.
+    the forward pass returned and read; :func:`~sgcn.model.backward_pass`
+    uses up ``states``, popping each layer's state as it goes, so the list
+    comes back empty once the gradient is taken. Raises ``ValueError`` on a
+    batch without pairs.
     """
-    parts, dz, grad_mlg = _objective(states[-1].embedding(), mlg, batch, params, cfg)
+    parts, dz, grad_mlg = _objective(states[-1], mlg, batch, params, cfg)
     if not np.isfinite(parts.total):
         return parts, None, None
     grad_w = backward_pass(states, x, params, sgcn_cfg, dz, ops)
@@ -393,24 +398,31 @@ def _backward(
     return parts, grad_w, grad_mlg
 
 
-def _objective(z, mlg, batch, params, cfg):
-    """The loss parts at ``z`` and the gradient at ``z`` and ``mlg``, in one pass.
+def _objective(top, mlg, batch, params, cfg):
+    """The loss parts at the last layer's states ``top``, and the gradient there and at ``mlg``.
 
-    Returns ``(parts, dz, grad_mlg)``, computed in the dtype of ``z``,
-    which ``dz`` shares. ``mlg`` is read cast to that dtype; the L2 term and
-    ``grad_mlg`` are in ``mlg``'s own. ``dz`` is two sparse products. The
-    classifier's share is the per-node sums of ``dlogits`` at each endpoint
-    (n x 3 each) through that endpoint's half of ``theta``. A hinge's slack
-    ``||z_i - z_j||^2 - ||z_i - z_k||^2`` is a quadratic form in ``z``, so
-    the hinges' share is one sparse symmetric n x n matrix times ``z``: each
-    active triplet adds ``+c`` at (j, j), (i, k) and (k, i) and ``-c`` at
-    (k, k), (i, j) and (j, i), with ``c = 2 * sign * margin_weight / |T|``.
-    Each term runs whatever its weight, and a zero weight adds exact zeros.
-    The weights' L2 gradient is left to the caller, which holds the weight
-    gradients.
+    Returns ``(parts, dz, grad_mlg)`` from one pass, in the dtype of
+    ``top``. ``dz`` is a :class:`~sgcn.model.LayerState`, the gradient at
+    each track's states as one contiguous n x d_hidden array, ready for
+    :func:`~sgcn.model.backward_pass` to use up. The embedding ``z =
+    top.embedding()`` is built for the scores, the hinge slack and
+    ``grad_theta``, and dropped before ``dz`` is. ``mlg`` is read cast to
+    the pass's dtype; the L2 term and ``grad_mlg`` are in ``mlg``'s own.
+    The classifier's share of ``dz`` is the per-node sums of ``dlogits`` at
+    each endpoint (n x 3 each) through that endpoint's half of ``theta``. A
+    hinge's slack ``||z_i - z_j||^2 - ||z_i - z_k||^2`` is a quadratic form
+    in ``z``, so the hinges' share of a track is one sparse symmetric n x n
+    matrix times that track: each active triplet adds ``+c`` at (j, j),
+    (i, k) and (k, i) and ``-c`` at (k, k), (i, j) and (j, i), with ``c =
+    2 * sign * margin_weight / |T|``. Each column of ``dz`` is, bit for
+    bit, the column of the n x 2*d_hidden gradient at ``z`` that the same
+    products give. Each term runs whatever its weight, and a zero weight
+    adds exact zeros. The weights' L2 gradient is left to the caller, which
+    holds the weight gradients.
     """
     if len(batch.pairs) == 0:
         raise ValueError("batch has no labeled pairs")
+    z = top.embedding()
     dtype = z.dtype
     idx_i, idx_j, labels, omega = _pair_columns(batch)
     omega = omega.astype(dtype, copy=False)
@@ -464,11 +476,24 @@ def _objective(z, mlg, batch, params, cfg):
     sums_i, sums_j = np.split(ends @ dlogits, 2)
     grad_theta = np.hstack([sums_i.T @ z, sums_j.T @ z]).astype(mlg.theta.dtype, copy=False)
     grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
-    dz = sums_i @ theta_i
-    dz += sums_j @ theta_j
+    del z
+    form = None
     if rows:
         form = scipy.sparse.csr_matrix(
             (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
         )
-        dz += form @ z
-    return parts, dz, MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0, dtype=mlg.bias.dtype))
+    # The classifier's share is taken at full width and then split, since a
+    # one-column half would be a matrix-vector product, which rounds
+    # differently. The hinges' share of a track is added to its half, not
+    # the other way round: addition commutes, so the bits are the same.
+    shared = sums_i @ theta_i
+    shared += sums_j @ theta_j
+    dz = []
+    for state, half in zip(top, np.split(shared, 2, axis=1)):
+        if form is None:
+            dz.append(half.copy())
+        else:
+            dz.append(form @ state)
+            dz[-1] += half
+    grad_mlg = MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0, dtype=mlg.bias.dtype))
+    return parts, LayerState(*dz), grad_mlg

@@ -6,12 +6,14 @@ raw records, exhaustive walk enumeration, exhaustive 2-coloring, a stack
 walk that 2-colours each component, pairwise AUC counting, a logistic
 probe fit on explicit pair features, a forward and a backward pass that
 build every input block as its own array, an allocating backward pass in
-the library's association, and central finite differences. None of it
-shares code with the implementations under test, except
-:func:`gradients`: it runs the library's own forward and backward pass for
-one batch, so that the tests can hold that gradient against central
-differences. The probe oracle reads only the library's penalty and step
-cap, and the model oracles only the layer tables.
+the library's association, an objective whose gradient is one n x 2h array
+at the embedding, and central finite differences. None of it shares code
+with the implementations under test, except :func:`gradients`: it runs the
+library's own forward and backward pass for one batch, so that the tests
+can hold that gradient against central differences. The probe oracle reads
+only the library's penalty and step cap, the model oracles only the layer
+tables, and the objective oracle the library's pair columns and hinge
+slack.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse
 
 from sgcn.evaluation import _L2, _MAX_ITER
 from sgcn.graph import SignedGraph
 from sgcn.model import _E, _F, _OWN, SgcnParams, _table, forward_pass, neighbor_mean_ops
-from sgcn.training import _backward
+from sgcn.training import LossParts, MlgParams, _backward, _margin_slack, _pair_columns
 
 
 def random_signed_graph(rng, n, edge_prob=0.4, neg_frac=0.3) -> SignedGraph:
@@ -336,20 +339,22 @@ def block_forward_pass(g, x, params, sgcn_cfg, ops) -> list[tuple[np.ndarray, np
 def _backward_oracle(states, x, params, sgcn_cfg, dz, ops, slot_grads) -> SgcnParams:
     """Reverse mode through the layer tables as plain expressions, each result a new array.
 
+    ``dz`` is the gradient at the last layer's states, one array per track;
+    it is only read, and so are the other arguments.
+
     ``slot_grads(d_pre, op, source, w_b)`` gives one slot's weight gradient
     columns and its part of the source track's gradient. Every ``d_pre`` is
     ``g * (1 - s**2)`` and every state gradient the sum ``g + part``, run
     slot by slot in the tables' P, N, own order, as the library's are.
     """
-    h = sgcn_cfg.d_hidden
     masters = (params.w_friend, params.w_enemy)
     grads = ([None] * sgcn_cfg.layers, [None] * sgcn_cfg.layers)
-    g_state = [dz[:, :h], dz[:, h:]]
+    g_state = list(dz)
     for layer in range(sgcn_cfg.layers - 1, -1, -1):
         d_pre = [g_state[track] * (1.0 - states[layer][track] ** 2) for track in (_F, _E)]
         source = (x, x) if layer == 0 else states[layer - 1]
         table = _table(sgcn_cfg, layer)
-        slots = [np.split(masters[track][layer].astype(dz.dtype), len(table[track]), axis=1)
+        slots = [np.split(masters[track][layer].astype(dz[_F].dtype), len(table[track]), axis=1)
                  for track in (_F, _E)]
         columns = [[], []]
         g_state = [None, None]
@@ -403,3 +408,61 @@ def gradients(train, x, params, mlg, batch, cfg, sgcn_cfg):
     ops = neighbor_mean_ops(train)
     states = forward_pass(train, x, params, sgcn_cfg, ops=ops)
     return _backward(states, x, params, mlg, batch, cfg, sgcn_cfg, ops)[1:]
+
+
+def dense_objective(z, mlg, batch, params, cfg):
+    """``(parts, dz, grad_mlg)`` of the objective, its gradient one n x 2h array at ``z``.
+
+    The one-pass objective with the gradient at the whole embedding: the
+    classifier's per-node sums through both halves of ``theta``, then the
+    hinges' sparse symmetric form times ``z``, each added into one array.
+    Computed in the dtype of ``z``.
+    """
+    dtype = z.dtype
+    idx_i, idx_j, labels, omega = _pair_columns(batch)
+    omega = omega.astype(dtype, copy=False)
+    m, n = len(labels), len(z)
+    theta_i, theta_j = np.split(mlg.theta.astype(dtype, copy=False), 2, axis=1)
+    logits = (z @ theta_i.T)[idx_i]
+    logits += (z @ theta_j.T)[idx_j]
+    logits += mlg.bias.astype(dtype, copy=False)
+    logits -= logits.max(axis=1, keepdims=True)
+    exp_logits = np.exp(logits)
+    exp_sums = exp_logits.sum(axis=1)
+    log_prob = logits[np.arange(m), labels] - np.log(exp_sums)
+    classifier = float(np.mean(omega * -log_prob))
+    margin, rows, cols, coefs = 0.0, [], [], []
+    for triplets, sign in ((batch.pos_triplets, 1.0), (batch.neg_triplets, -1.0)):
+        if len(triplets) == 0:
+            continue
+        slack = _margin_slack(z, triplets, sign)
+        margin += float(np.maximum(0.0, slack).mean())
+        i, j, k = triplets[slack > 0].T
+        c = 2.0 * sign * cfg.margin_weight / len(triplets)
+        rows += [j, i, k, k, i, j]
+        cols += [j, k, i, k, j, i]
+        coefs.append(np.repeat(np.array([c, -c], dtype=dtype), 3 * len(i)))
+    margin *= cfg.margin_weight
+    reg = cfg.reg_coeff * (
+        sum(float(np.sum(w * w)) for w in params.all_weights())
+        + float(np.sum(mlg.theta * mlg.theta))
+    )
+    dlogits = exp_logits / exp_sums[:, None]
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits *= (omega / m)[:, None]
+    ends = scipy.sparse.csr_matrix(
+        (np.ones(2 * m, dtype=dtype), (np.concatenate([idx_i, n + idx_j]), np.tile(np.arange(m), 2))),
+        shape=(2 * n, m),
+    )
+    sums_i, sums_j = np.split(ends @ dlogits, 2)
+    grad_theta = np.hstack([sums_i.T @ z, sums_j.T @ z]).astype(mlg.theta.dtype, copy=False)
+    grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
+    dz = sums_i @ theta_i
+    dz += sums_j @ theta_j
+    if rows:
+        form = scipy.sparse.csr_matrix(
+            (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        dz += form @ z
+    parts = LossParts(classifier=classifier, margin=margin, regularizer=reg)
+    return parts, dz, MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0, dtype=mlg.bias.dtype))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sgcn.balance import reach_sets
 from sgcn.graph import SignedGraph
 from sgcn.model import (
+    LayerState,
     SgcnConfig,
     SgcnParams,
     backward_pass,
@@ -380,7 +381,10 @@ class TestEmbedAll:
 
 
 def model_pass(seed, n, d_in, d_hidden, model, dtype):
-    """A random graph, its features, states and operators in ``dtype``, and a random ``dz``."""
+    """A random graph, its features, states and operators in ``dtype``, and a random ``dz``.
+
+    ``dz`` is a gradient at the last layer's states, one array per track.
+    """
     rng = np.random.default_rng(seed)
     g = random_signed_graph(rng, n)
     cfg = SgcnConfig(d_in=d_in, d_hidden=d_hidden, **MODELS[model])
@@ -388,8 +392,19 @@ def model_pass(seed, n, d_in, d_hidden, model, dtype):
     ops = neighbor_mean_ops(g, dtype)
     x = rng.standard_normal((n, d_in)).astype(dtype)
     states = forward_pass(g, x, params, cfg, ops=ops)
-    dz = rng.standard_normal((n, cfg.embedding_dim)).astype(dtype)
+    dz = LayerState(*rng.standard_normal((2, n, d_hidden)).astype(dtype))
     return g, cfg, params, ops, x, states, dz
+
+
+def used_up_backward_pass(states, x, params, cfg, dz, ops):
+    """``backward_pass`` on a copy of the list and of ``dz``, which it uses up.
+
+    Asserts that the list comes back empty.
+    """
+    consumed = list(states)
+    grads = backward_pass(consumed, x, params, cfg, LayerState(*(g.copy() for g in dz)), ops)
+    assert consumed == []
+    return grads
 
 
 PASSES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), d_in=st.integers(1, 4),
@@ -416,10 +431,12 @@ class TestBackwardPass:
     def test_matches_the_allocating_oracle_bit_for_bit(self, seed, n, d_in, d_hidden, model,
                                                        dtype):
         _, cfg, params, ops, x, states, dz = model_pass(seed, n, d_in, d_hidden, model, dtype)
-        arrays = [dz, x, *(a for s in states for a in s)]
+        # The pass pops the states off its list and writes into dz's arrays;
+        # the state arrays, x and the operators are only read.
+        arrays = [x, *(a for s in states for a in s)]
         arrays += [a for op in ops for a in (op.data, op.indices, op.indptr)]
         before = [a.copy() for a in arrays]
-        grads = backward_pass(states, x, params, cfg, dz, ops)
+        grads = used_up_backward_pass(states, x, params, cfg, dz, ops)
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
         expected = allocating_backward_pass(states, x, params, cfg, dz, ops)
@@ -435,7 +452,7 @@ class TestBackwardPass:
         # entry (1.4e-15 over 3000 draws); a wrong product is off by O(1).
         _, cfg, params, ops, x, states, dz = model_pass(seed, n, d_in, d_hidden, model,
                                                         np.float64)
-        grads = backward_pass(states, x, params, cfg, dz, ops)
+        grads = used_up_backward_pass(states, x, params, cfg, dz, ops)
         expected = block_backward_pass(states, x, params, cfg, dz, ops)
         for got, want in zip(grads.all_weights(), expected.all_weights(), strict=True):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -467,10 +484,23 @@ class TestPrecisionRefused:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_backward_refuses_states_of_another_precision(self, model):
         g, cfg, params, ops, x, states, dz = model_pass(1, 7, 3, 2, model, np.float64)
+        dz32 = LayerState(*(track.astype(np.float32) for track in dz))
         with pytest.raises(ValueError, match="states are float64 but dz is float32"):
-            backward_pass(states, x.astype(np.float32), params, cfg, dz.astype(np.float32),
+            backward_pass(states, x.astype(np.float32), params, cfg, dz32,
                           neighbor_mean_ops(g, np.float32))
         # One float32 state among float64 states is refused too.
         states[0] = states[0]._replace(enemy=states[0].enemy.astype(np.float32))
         with pytest.raises(ValueError, match="states are float32 but dz is float64"):
             backward_pass(states, x, params, cfg, dz, ops)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_backward_refuses_a_gradient_track_of_another_precision(self, model):
+        _, cfg, params, ops, x, states, dz = model_pass(1, 7, 3, 2, model, np.float32)
+        for mixed, (first, second) in (
+            (dz._replace(enemy=dz.enemy.astype(np.float64)), ("float32", "float64")),
+            (dz._replace(friend=dz.friend.astype(np.float64)), ("float64", "float32")),
+        ):
+            with pytest.raises(ValueError, match=f"dz's tracks are {first} and {second}"):
+                backward_pass(states, x, params, cfg, mixed, ops)
+            # A refused call uses nothing up.
+            assert len(states) == cfg.layers

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgcn.graph import (
     SignedGraph,
@@ -16,6 +18,7 @@ from sgcn.graph import (
 from sgcn import training
 from sgcn.evaluation import model_input, split_and_features
 from sgcn.model import (
+    LayerState,
     SgcnConfig,
     backward_pass,
     embed_all,
@@ -36,7 +39,14 @@ from sgcn.training import (
     sample_batch,
 )
 
-from oracles import central_difference, gradients, has_edge, neighbor_sets, random_signed_graph
+from oracles import (
+    central_difference,
+    dense_objective,
+    gradients,
+    has_edge,
+    neighbor_sets,
+    random_signed_graph,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -395,9 +405,40 @@ class TestObjectiveGradient:
         # Active and inactive hinges, none near its kink, where the
         # difference quotient would straddle it.
         assert min(slack) < -0.1 and max(slack) > 0.1 and min(np.abs(slack)) > 0.1
-        dz = _objective(z, mlg, batch, params, cfg)[1]
+        dz = np.hstack(_objective(LayerState(z[:, :2], z[:, 2:]), mlg, batch, params, cfg)[1])
         fd = central_difference(lambda: loss_parts(z, mlg, batch, params, cfg).total, z)
         assert dz == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), d_in=st.integers(1, 4),
+           d_hidden=st.integers(1, 40), model=st.sampled_from(["sgcn-1", "sgcn-1+", "sgcn-2"]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_tracks_match_the_dense_oracle_bit_for_bit(self, seed, n, d_in, d_hidden, model,
+                                                       dtype):
+        # Each track's gradient is built on its own, from the track, and
+        # equals its half of the gradient at the whole embedding.
+        rng = np.random.default_rng(seed)
+        g = random_signed_graph(rng, n, edge_prob=0.3)
+        sgcn_cfg = SgcnConfig(d_in=d_in, d_hidden=d_hidden, **MODELS[model])
+        params = init_params(sgcn_cfg, seed)
+        x = rng.standard_normal((n, d_in)).astype(dtype)
+        top = forward_pass(g, x, params, sgcn_cfg)[-1]
+        mlg = MlgParams(theta=rng.standard_normal((3, 2 * sgcn_cfg.embedding_dim)),
+                        bias=rng.standard_normal(3))
+        cfg = small_config(batch_nodes=n, margin_weight=float(rng.uniform(0.0, 5.0)))
+        try:
+            batch = sample_batch(g, cfg, 0)
+        except SamplingError:
+            assume(False)  # a node linked to every other has no unlinked partner
+        parts, dz, grad_mlg = _objective(top, mlg, batch, params, cfg)
+        want_parts, want_dz, want_mlg = dense_objective(top.embedding(), mlg, batch, params, cfg)
+        assert parts == want_parts
+        assert np.array_equal(grad_mlg.theta, want_mlg.theta)
+        assert np.array_equal(grad_mlg.bias, want_mlg.bias)
+        assert len(dz) == 2
+        for got, want in zip(dz, np.split(want_dz, 2, axis=1)):
+            assert got.dtype == dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
 
 MODELS = {
@@ -540,12 +581,15 @@ class TestFit:
         assert max(moves) <= bound
         assert max(moves) >= 0.5 * cfg.learning_rate
 
-    def test_peak_memory_stays_under_nine_embeddings(self):
+    def test_peak_memory_stays_under_six_and_a_half_embeddings(self):
         # A sparse graph with few anchors per batch, so the per-node arrays
-        # set the peak, in the backward pass: x, one epoch's states, dz and
-        # the pass's buffers. An embedding, n x 2*d_hidden float32, is the
-        # unit. The fit peaks at 7.9 of them; a forward pass that keeps
-        # every input block for the backward pass took it to 11.4.
+        # set the peak, in the backward pass. An embedding, n x 2*d_hidden
+        # float32, is the unit. By then the pass has popped the top layer's
+        # states, so the peak holds x, the first layer's states, dz's
+        # arrays (reused as d_pre), the two state-gradient buffers, the
+        # scratch array and one slot's operator image: 5.9 units. A pass
+        # that kept dz, the top states and a separate d_pre to its end
+        # peaked at 7.9, and one that kept every input block at 11.4.
         n, d_hidden = 2000, 32
         rng = np.random.default_rng(3)
         ends = rng.integers(n, size=(4000, 2))
@@ -561,7 +605,7 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9 * n * 2 * d_hidden * 4
+        assert peak < 6.5 * n * 2 * d_hidden * 4
 
     def test_each_epochs_states_dropped_before_the_next_pass(self, monkeypatch):
         alive = []
@@ -601,7 +645,7 @@ class TestPrecision:
         backward, adam_step = training.backward_pass, training._adam_step
 
         def checked_backward(states, x, params, sgcn_cfg, dz, ops):
-            assert dz.dtype == x.dtype == np.float32
+            assert dz.friend.dtype == dz.enemy.dtype == x.dtype == np.float32
             for state in states:
                 assert state.friend.dtype == state.enemy.dtype == np.float32
             assert [op.dtype for op in ops] == [np.float32, np.float32]
@@ -641,9 +685,8 @@ class TestPrecision:
         x = rng.standard_normal((12, 3)).astype(dtype)
         states = forward_pass(g, x, params, sgcn_cfg)
         assert all(s.friend.dtype == s.enemy.dtype == dtype for s in states)
-        parts, dz, grad_mlg = _objective(states[-1].embedding(), mlg, sample_batch(g, cfg, 0),
-                                         params, cfg)
-        assert np.isfinite(parts.total) and dz.dtype == dtype
+        parts, dz, grad_mlg = _objective(states[-1], mlg, sample_batch(g, cfg, 0), params, cfg)
+        assert np.isfinite(parts.total) and dz.friend.dtype == dz.enemy.dtype == dtype
         assert grad_mlg.theta.dtype == grad_mlg.bias.dtype == np.float64
         grads = backward_pass(states, x, params, sgcn_cfg, dz, neighbor_mean_ops(g, dtype))
         assert all(gw.dtype == np.float64 for gw in grads.all_weights())
