@@ -20,8 +20,12 @@ thread count repeats the same bits; ARPACK otherwise draws its own random
 start. An embedding as wide as
 the graph is a full dense eigendecomposition, which ARPACK cannot compute.
 
-Nearly all of the solve's time is one sparse LU of the shifted operator and
-the few hundred triangular solves made with it. That LU is ordered by
+Under cProfile, at d = 64 on the seed-1 bitcoin-alpha train graph and 1
+BLAS thread, the solve takes about 0.34 s. ARPACK's own Lanczos bookkeeping
+over its n x ncv basis (``dsaupd``) is the largest share, about 0.19 s.
+The 321 triangular solves with one sparse LU of the shifted operator take
+about 0.085 s, the LU itself 0.04 s and the extraction of the Ritz vectors
+(``dseupd``) 0.01 s. That LU is ordered by
 minimum degree on the pattern of ``A + A^T`` (Liu, ACM TOMS 1985), an
 ordering for symmetric matrices, in place of the COLAMD ordering for
 unsymmetric ones that ``eigsh`` uses by itself: on the Bitcoin train graphs
@@ -114,15 +118,19 @@ def spectral_embedding(g: SignedGraph, d: int, return_eigenvalues: bool = False)
     column's sign is then fixed so that its largest-magnitude entry is
     positive. The output is then the same, bit for bit, in every run and
     process at a fixed BLAS thread count. Another thread count may change
-    the last bits (the bitcoin-alpha train features of seed 0 hash to SHA-1
-    ``2285605f...`` at 1 OpenBLAS thread, ``e6489332...`` at 2); across
-    thread counts and BLAS builds, the columns of simple eigenvalues agree
-    up to rounding.
+    the last bits (the bitcoin-otc train features of seed 0 hash to SHA-1
+    ``e07872a4...`` at 1 OpenBLAS thread and ``26a0fbb3...`` at 2, the
+    bitcoin-alpha ones to ``2d6e215f...`` at both); across thread counts
+    and BLAS builds, the columns of simple eigenvalues agree up to
+    rounding.
 
     A width below ``g.n`` factors the shifted operator once, ordered by
     SuperLU's symmetric ``MMD_AT_PLUS_A`` (see the module docstring for
-    why), and hands the factor's solve to ``eigsh``; the eigenpairs agree
-    with those of ``eigsh``'s own factorisation up to rounding.
+    why), and hands the factor's solve to ``eigsh`` with a Lanczos basis of
+    ``d + max(d // 2, 20)`` vectors, at most ``g.n``. On the Bitcoin train
+    graphs the eigenvalues, and the columns of simple ones, agree with those
+    of ``eigsh``'s own factorisation and default basis of ``2d + 1`` vectors
+    up to rounding.
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={g.n}")
@@ -143,8 +151,15 @@ def spectral_embedding(g: SignedGraph, d: int, return_eigenvalues: bool = False)
         inverse = scipy.sparse.linalg.LinearOperator(
             operator.shape, matvec=lu.solve, dtype=operator.dtype
         )
+        # ARPACK holds n * (2 * ncv + d) float64 at its peak: the Lanczos
+        # basis, the Ritz vectors it extracts and the copy it returns.
+        # Shift-invert at the bottom of this spectrum converges in about as
+        # many LU solves with d + d/2 vectors as with scipy's default 2d + 1.
+        # With fewer than 20 vectors beyond d, small graphs fail to converge
+        # or return a wrong eigenvalue.
         vals, vecs = scipy.sparse.linalg.eigsh(
-            operator, k=d, sigma=shift, which="LM", v0=v0, OPinv=inverse
+            operator, k=d, sigma=shift, which="LM", v0=v0, OPinv=inverse,
+            ncv=min(g.n, d + max(d // 2, 20)),
         )
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
