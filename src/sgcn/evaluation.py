@@ -23,7 +23,7 @@ import scipy.sparse
 from .graph import EdgeSplit, SignedGraph, split_train_test
 from .model import SgcnConfig
 from .spectral import spectral_embedding
-from .training import _TRAIN_DTYPE, TrainConfig, fit
+from .training import _TRAIN_DTYPE, TrainConfig, _one_blas_thread, fit
 
 __all__ = [
     "LogisticModel",
@@ -109,13 +109,16 @@ def build_pairs(z: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     return ends, (edges[:, 2] > 0).astype(np.intp)
 
 
+@_one_blas_thread()
 def fit_logreg(z: np.ndarray, ends: np.ndarray, labels) -> LogisticModel:
     """Newton's method on the L2-regularized logistic loss of pair features ``[z_u, z_v]``.
 
     Gradient and Hessian are products of ``z`` with per-node sums over the
     pairs; no pair's features are built. The penalty is ``_L2 * ||w||^2 / m``
     (intercept unpenalized). Stops at a gradient sup-norm of 1e-6 or after
-    ``_MAX_ITER`` steps; fully deterministic. Requires both classes.
+    ``_MAX_ITER`` steps; fully deterministic. Requires both classes. Like
+    :func:`~sgcn.training.fit`, it runs numpy's OpenBLAS at one thread, so
+    its weights do not depend on the thread count where that BLAS is found.
     """
     y = labels.astype(np.float64)
     if y.min() == y.max():

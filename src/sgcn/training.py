@@ -36,7 +36,10 @@ a float64 call is float64 arithmetic throughout.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse
@@ -75,6 +78,37 @@ _ADAM_EPS = 1e-8
 
 # The precision of fit's per-node passes; its master weights are float64.
 _TRAIN_DTYPE = np.float32
+
+# The thread-count getter and setter of the OpenBLAS that numpy's wheels
+# bundle, which is not scipy's copy; None where numpy links another BLAS.
+try:
+    _numpy_openblas = ctypes.CDLL(str(next(
+        (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))))
+    _blas_threads = (_numpy_openblas.scipy_openblas_get_num_threads64_,
+                     _numpy_openblas.scipy_openblas_set_num_threads64_)
+    _blas_threads[0].argtypes, _blas_threads[0].restype = [], ctypes.c_int
+    _blas_threads[1].argtypes, _blas_threads[1].restype = [ctypes.c_int], None
+except (StopIteration, AttributeError, OSError):
+    _blas_threads = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread, then restore its count.
+
+    The count comes back on an exception too. Where numpy's OpenBLAS is not
+    found, for example with MKL, the body runs at whatever count is set.
+    """
+    if _blas_threads is None:
+        yield
+        return
+    get, set_ = _blas_threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 class SamplingError(RuntimeError):
@@ -297,6 +331,7 @@ def _margin_slack(z, triplets, sign):
     return sign * (np.sum(diff_j**2, axis=1) - np.sum(diff_k**2, axis=1))
 
 
+@_one_blas_thread()
 def fit(
     train: SignedGraph,
     x: np.ndarray,
@@ -325,6 +360,13 @@ def fit(
     layer states are used up by the backward pass, which pops them off
     their list layer by layer, so none is left when the next forward pass
     builds their successors.
+
+    The call runs numpy's OpenBLAS at one thread, whatever
+    ``OPENBLAS_NUM_THREADS`` says, and then restores its count. At two
+    threads OpenBLAS partitions the products otherwise, and their last bits
+    change, so the fit would depend on the machine's thread count.
+    Where numpy links another BLAS, such as MKL, nothing is pinned and the
+    fit runs at the configured count.
 
     Raises :class:`DivergenceError` if the loss stops being finite, or once
     a weight is past float32's range, before a pass would cast it to inf.
@@ -430,15 +472,17 @@ def _objective(top, mlg, batch, params, cfg):
 
     # Classifier term: class-weighted softmax cross-entropy. Each half of
     # theta acts on one endpoint, so the logits are gathered from per-node
-    # scores and the pair features are never built.
+    # scores and the pair features are never built. They are laid out as
+    # one row per class, so the softmax runs over three long rows instead
+    # of m rows of three, with the same bits.
     theta_i, theta_j = np.split(mlg.theta.astype(dtype, copy=False), 2, axis=1)
-    logits = (z @ theta_i.T)[idx_i]
-    logits += (z @ theta_j.T)[idx_j]
-    logits += mlg.bias.astype(dtype, copy=False)
-    logits -= logits.max(axis=1, keepdims=True)
+    logits = (z @ theta_i.T).T.take(idx_i, axis=1)
+    logits += (z @ theta_j.T).T.take(idx_j, axis=1)
+    logits += mlg.bias.astype(dtype, copy=False)[:, None]
+    logits -= logits.max(axis=0)
     exp_logits = np.exp(logits)
-    exp_sums = exp_logits.sum(axis=1)
-    log_prob = logits[np.arange(m), labels] - np.log(exp_sums)
+    exp_sums = exp_logits.sum(axis=0)
+    log_prob = logits[labels, np.arange(m)] - np.log(exp_sums)
     classifier = float(np.mean(omega * -log_prob))
 
     # Hinge terms, and the entries of their quadratic form for the gradient.
@@ -462,9 +506,9 @@ def _objective(top, mlg, batch, params, cfg):
     )
     parts = LossParts(classifier=classifier, margin=margin, regularizer=reg)
 
-    dlogits = exp_logits / exp_sums[:, None]
-    dlogits[np.arange(m), labels] -= 1.0
-    dlogits *= (omega / m)[:, None]
+    dlogits = exp_logits / exp_sums
+    dlogits[labels, np.arange(m)] -= 1.0
+    dlogits *= omega / m
     # Per-node sums of dlogits: rows 0..n-1 at endpoint i, n..2n-1 at j.
     ends = scipy.sparse.csr_matrix(
         (
@@ -473,7 +517,7 @@ def _objective(top, mlg, batch, params, cfg):
         ),
         shape=(2 * n, m),
     )
-    sums_i, sums_j = np.split(ends @ dlogits, 2)
+    sums_i, sums_j = np.split(ends @ dlogits.T, 2)
     grad_theta = np.hstack([sums_i.T @ z, sums_j.T @ z]).astype(mlg.theta.dtype, copy=False)
     grad_theta += 2.0 * cfg.reg_coeff * mlg.theta
     del z
@@ -495,5 +539,8 @@ def _objective(top, mlg, batch, params, cfg):
         else:
             dz.append(form @ state)
             dz[-1] += half
-    grad_mlg = MlgParams(theta=grad_theta, bias=dlogits.sum(axis=0, dtype=mlg.bias.dtype))
+    # The bias gradient adds the pairs one after another, as a running sum
+    # does; a plain sum along the rows would add them pairwise, in other bits.
+    bias = np.cumsum(dlogits, axis=1, dtype=mlg.bias.dtype)[:, -1]
+    grad_mlg = MlgParams(theta=grad_theta, bias=bias)
     return parts, LayerState(*dz), grad_mlg

@@ -1,12 +1,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgcn import cli
+from sgcn import cli, training
 from sgcn.cli import _build_parser, _train_config, main
 from sgcn import io as artifacts
 from sgcn.evaluation import METHODS, run_experiment
@@ -459,6 +462,23 @@ class TestBundledDatasets:
         assert "nodes=5881" in printed
         assert "positive_edges=18233" in printed
         assert "negative_edges=2901" in printed
+
+    @pytest.mark.skipif(training._blas_threads is None,
+                        reason="numpy's OpenBLAS thread-count symbols not found")
+    def test_train_eval_artifacts_do_not_depend_on_the_thread_count(self, tmp_path):
+        # Each step in its own process, as a user runs it, at 1 and then 2
+        # OpenBLAS threads.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        flags = ["--dataset", DATA_DIR / "bitcoin_alpha.csv", "--seed", "0"]
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            for step in (["train", "--epochs", "20"], ["eval"]):
+                subprocess.run([sys.executable, "-m", "sgcn.cli", *step, *flags,
+                                "--out", tmp_path / threads],
+                               env=env, capture_output=True, check=True, timeout=300)
+        for name in ("checkpoint.npz", "embeddings.csv", "loss_history.csv", "report.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     @pytest.mark.parametrize("method", ["sgcn-1", "sgcn-1+", "sgcn-2", "sse"])
     def test_train_eval_report_equals_run_experiment(self, tmp_path, method):

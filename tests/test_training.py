@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -15,7 +18,7 @@ from sgcn.graph import (
     split_train_test,
     to_undirected,
 )
-from sgcn import training
+from sgcn import evaluation, training
 from sgcn.evaluation import model_input, split_and_features
 from sgcn.model import (
     LayerState,
@@ -718,3 +721,105 @@ class TestPrecision:
         for e, m in zip(exact, mixed):
             assert m.dtype == np.float64
             assert np.abs(m - e).max() <= 1e-3 * np.abs(e).max()
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    training._blas_threads is None, reason="numpy's OpenBLAS thread-count symbols not found")
+
+
+class TestOneBlasThread:
+    """fit and fit_logreg run numpy's OpenBLAS at one thread, and restore its count after."""
+
+    @needs_numpy_openblas
+    def test_one_thread_inside_and_the_count_back_after(self):
+        get, set_ = training._blas_threads
+        before = get()
+        set_(2)
+        try:
+            with training._one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(KeyError), training._one_blas_thread():
+                assert get() == 1
+                raise KeyError("body failed")
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_no_op_without_the_symbols(self, monkeypatch):
+        # The body runs, and a count that is there to read is left as it was.
+        real = training._blas_threads
+        monkeypatch.setattr(training, "_blas_threads", None)
+        counts = []
+        with training._one_blas_thread():
+            if real is not None:
+                counts.append(real[0]())
+        if real is not None:
+            assert counts == [real[0]()]
+
+    @needs_numpy_openblas
+    def test_fit_and_probe_run_at_one_thread(self, monkeypatch):
+        get, set_ = training._blas_threads
+        seen = []
+        sample, decision = training.sample_batch, evaluation.LogisticModel.decision
+        monkeypatch.setattr(training, "sample_batch",
+                            lambda *args: seen.append(("fit", get())) or sample(*args))
+        monkeypatch.setattr(evaluation.LogisticModel, "decision",
+                            lambda self, z, ends: seen.append(("probe", get())) or decision(self, z, ends))
+        g = two_cliques(5)
+        x = np.random.default_rng(14).standard_normal((g.n, 4))
+        before = get()
+        set_(2)
+        try:
+            z = fit(g, x, small_config(batch_nodes=g.n, epochs=2), SgcnConfig(d_in=4, d_hidden=3))
+            assert get() == 2
+            z = z.embeddings.astype(np.float64)
+            evaluation.fit_logreg(z, *evaluation.build_pairs(z, g.edge_array()))
+            assert get() == 2
+        finally:
+            set_(before)
+        assert {kind for kind, _ in seen} == {"fit", "probe"}
+        assert {threads for _, threads in seen} == {1}
+
+    @pytest.mark.dataset
+    @needs_numpy_openblas
+    def test_fit_and_probe_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # Full-size inputs: on small ones OpenBLAS stays on one thread anyway.
+        # The features are computed once here, so that only the fit and the
+        # probe run at the child's thread count. The probe is fit on the fit's
+        # embeddings and, on its own, on the features.
+        g = to_undirected(load_edge_list(DATA_DIR / "bitcoin_alpha.csv", "weighted-csv"))
+        _, x = split_and_features(g, 0.2, seed=0, dim=64)
+        np.save(tmp_path / "x.npy", x)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sgcn.evaluation import build_pairs, fit_logreg, model_input, sgcn_config_for\n"
+            "from sgcn.graph import load_edge_list, split_train_test, to_undirected\n"
+            "from sgcn.training import TrainConfig, fit\n"
+            "data, x = sys.argv[1], np.load(sys.argv[2])\n"
+            "train = split_train_test(to_undirected(load_edge_list(data, 'weighted-csv')), 0.2, 0).train\n"
+            "res = fit(train, model_input(x), TrainConfig(epochs=5, seed=0), sgcn_config_for('sgcn-2', 64, 32))\n"
+            "z = res.embeddings.astype(np.float64)\n"
+            "probe = fit_logreg(z, *build_pairs(z, train.edge_array()))\n"
+            "sse = fit_logreg(x, *build_pairs(x, train.edge_array()))\n"
+            "out = {'embeddings': res.embeddings, 'theta': res.mlg.theta, 'bias': res.mlg.bias,\n"
+            "       'probe weights': probe.weights, 'feature probe weights': sse.weights}\n"
+            "out.update((f'weight {k}', w) for k, w in enumerate(res.params.all_weights()))\n"
+            "for name, a in out.items():\n"
+            "    print(f'{name}: {a.tobytes().hex()}')\n"
+            "print(f'probe intercept: {probe.intercept!r}')\n"
+            "print(f'history: {res.history!r}')\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            runs.append(subprocess.run(
+                [sys.executable, "-c", code, str(DATA_DIR / "bitcoin_alpha.csv"), str(tmp_path / "x.npy")],
+                env=env, capture_output=True, text=True, check=True, timeout=300).stdout)
+        one, two = (dict(line.split(": ", 1) for line in run.splitlines()) for run in runs)
+        assert len(one) == 11 and one.keys() == two.keys()  # sgcn-2 has four weights
+        for name in one:
+            assert one[name] == two[name], name
