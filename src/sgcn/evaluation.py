@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .graph import EdgeSplit, SignedGraph, split_train_test
+from .graph import EdgeSplit, SignedGraph, _signed_rows, split_train_test
 from .model import SgcnConfig
 from .spectral import spectral_embedding
 from .training import _TRAIN_DTYPE, TrainConfig, _one_blas_thread, fit
@@ -99,8 +99,11 @@ class EvalReport:
 
 
 def build_pairs(z: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """``(ends, labels)`` per ``(u, v, sign)``: the ids into ``z``, lower first; 1 if positive."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    """``(ends, labels)`` per ``(u, v, sign)``: the ids into ``z``, lower first; 1 if positive.
+
+    ``edges`` is read as :func:`~sgcn.graph.to_undirected` reads its records.
+    """
+    edges = _signed_rows(edges, "edge")
     ends = np.sort(edges[:, :2], axis=1)
     unknown = np.flatnonzero((ends[:, 0] < 0) | (ends[:, 1] >= z.shape[0]))
     if len(unknown):

@@ -81,31 +81,24 @@ class SignedGraph:
     ) -> "SignedGraph":
         """Build a graph from undirected ``(u, v, sign)`` triples.
 
-        ``edges`` is an ``(E, 3)`` array or a list of triples. Each unordered
-        pair may appear once. Node ids that are not whole numbers, self-loops,
-        repeated pairs, and signs outside {+1, -1} are rejected; the error
-        names the first offending triple.
+        ``edges`` is read as :func:`to_undirected` reads its records. Each
+        unordered pair may appear once. Ids outside ``0..n-1``, self-loops
+        and repeated pairs are rejected; the error names the first offending
+        triple.
         """
-        triples = np.asarray(edges).reshape(-1, 3)
-        with np.errstate(invalid="ignore"):  # NaN, infinity or past int64: refused below
-            ends = triples[:, :2].astype(np.int64)
-        (u, v), sign = ends.T, triples[:, 2]
-        cut = np.any(ends != triples[:, :2], axis=1)
-        repeated = np.ones(len(triples), dtype=bool)
+        u, v, sign = _signed_rows(edges, "edge").T
+        repeated = np.ones(len(u), dtype=bool)
         repeated[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = False
         checks = (
-            (cut, "edge {row} has a node id that is not a whole int64"),
             ((u < 0) | (u >= n) | (v < 0) | (v >= n), "edge ({u}, {v}) out of range for n={n}"),
             (u == v, "self-loop at node {u}"),
-            ((sign != 1) & (sign != -1), "edge ({u}, {v}) has invalid sign {s}"),
             (repeated, "pair ({u}, {v}) listed more than once"),
         )
         flagged = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
         if len(flagged):
             k = flagged[0]
             message = next(text for mask, text in checks if mask[k])
-            row = triples[k].tolist()
-            raise ValueError(message.format(u=u[k], v=v[k], s=sign[k], n=n, row=row))
+            raise ValueError(message.format(u=u[k], v=v[k], n=n))
         adj = scipy.sparse.csr_matrix(
             (np.r_[sign, sign].astype(np.float64), (np.r_[u, v], np.r_[v, u])), shape=(n, n)
         )
@@ -164,6 +157,26 @@ class EdgeSplit:
     test: tuple[SignedEdge, ...]
 
 
+def _signed_rows(rows, what: str) -> np.ndarray:
+    """``rows`` as an ``(E, 3)`` int64 array of ``(u, v, sign)``; no elements read as no rows.
+
+    Other shapes are refused, not reshaped, and so is a row whose ids are not
+    whole int64 or whose sign is not +1 or -1; the error names the first.
+    """
+    values = np.asarray(rows)
+    values = values.reshape(0, 3) if values.size == 0 else values
+    if values.ndim != 2 or values.shape[1] != 3:
+        raise ValueError(f"{what}s must be (u, v, sign) rows, an (E, 3) array, not {values.shape}")
+    with np.errstate(invalid="ignore"):  # NaN, infinity or past int64: refused below
+        triples = values.astype(np.int64, copy=False)
+    faulty = np.flatnonzero(np.any(triples != values, axis=1) | ~np.isin(values[:, 2], (1, -1)))
+    if len(faulty):
+        k = faulty[0]
+        raise ValueError(f"{what} {k} {values[k].tolist()} has a node id that is not a whole "
+                         "int64 or a sign other than +1 or -1")
+    return triples
+
+
 def load_edge_list(path, format: str) -> np.ndarray:
     """Parse the directed signed edge-list file at ``path`` into an ``(R, 3)`` int64 array.
 
@@ -219,25 +232,19 @@ def load_edge_list(path, format: str) -> np.ndarray:
 def to_undirected(records) -> SignedGraph:
     """Fold directed signed records into an undirected :class:`SignedGraph`.
 
-    ``records`` is an ``(R, 3)`` int64 array of ``(u, v, sign)`` rows, as
-    :func:`load_edge_list` returns, or anything ``np.asarray`` turns into
-    one. Node ids are compacted to ``0..n-1`` in ascending raw-id order; the
-    raw ids survive on ``SignedGraph.raw_ids``. The sign of an unordered pair
+    ``records`` holds ``(u, v, sign)`` rows: an ``(R, 3)`` array, as
+    :func:`load_edge_list` returns, or a list of triples. Any other shape is
+    refused, not reshaped. A record whose ids are not whole int64 numbers,
+    or whose sign is not +1 or -1, is rejected; the error names the first.
+    Node ids are compacted to ``0..n-1`` in ascending raw-id order; the raw
+    ids survive on ``SignedGraph.raw_ids``. The sign of an unordered pair
     is the sign of the summed record signs, and pairs whose signs cancel are
     dropped (their endpoints stay as nodes). Self-loop records are ignored,
-    and their node is kept. A record whose ids are not whole int64 numbers,
-    or whose sign is not +1 or -1, is rejected; the error names the first.
+    and their node is kept.
     """
-    values = np.asarray(records).reshape(-1, 3)
-    if not len(values):
+    records = _signed_rows(records, "record")
+    if not len(records):
         raise ValueError("no records to convert")
-    with np.errstate(invalid="ignore"):  # NaN, infinity or past int64: refused below
-        records = values.astype(np.int64, copy=False)
-    faulty = np.flatnonzero(np.any(records != values, axis=1) | ~np.isin(values[:, 2], (1, -1)))
-    if len(faulty):
-        k = faulty[0]
-        row = values[k].tolist()
-        raise ValueError(f"record {k} {row} is not two whole ids and a sign of +1 or -1")
     raw_ids, ends = np.unique(records[:, :2].ravel(), return_inverse=True)
     n = len(raw_ids)
     u, v = ends.reshape(-1, 2).T
@@ -256,6 +263,7 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
 
     The train graph keeps all ``n`` nodes (edges removed only); the split is
     deterministic for a fixed seed, with ``|test| = round(test_fraction * |E|)``.
+    A fraction that would leave either side empty is refused.
     """
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -263,6 +271,9 @@ def split_train_test(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSpl
     if len(edges) < 5:
         raise ValueError(f"graph has {len(edges)} edges; need at least 5 to split")
     n_test = int(round(test_fraction * len(edges)))
+    if not 0 < n_test < len(edges):
+        raise ValueError(f"test_fraction {test_fraction} of {len(edges)} edges holds out "
+                         f"{n_test}; each side needs at least one edge")
     rng = np.random.default_rng(seed)
     held = np.zeros(len(edges), dtype=bool)
     held[rng.choice(len(edges), size=n_test, replace=False)] = True

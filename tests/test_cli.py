@@ -130,6 +130,16 @@ class TestTrainEval:
         ids, z = read_embedding_csv(out / "embeddings.csv")
         assert z.shape == (30, 8)
 
+    @pytest.mark.parametrize("fraction", ["0.95", "0.05"], ids=["all-held-out", "none-held-out"])
+    def test_split_leaving_a_side_empty_is_an_error_line(self, tmp_path, capsys, fraction):
+        src = tmp_path / "five.csv"
+        src.write_text("1,2,1\n2,3,1\n3,4,-1\n4,5,1\n5,1,1\n")
+        out = tmp_path / "out"
+        assert run(["train", "--dataset", src, "--test-fraction", fraction, "--epochs", "2",
+                    "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: test_fraction {fraction} of 5 edges")
+        assert list(out.iterdir()) == []
+
     def test_training_is_reproducible_bit_for_bit(self, dataset, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--dataset", dataset, "--method", "sgcn-1",

@@ -70,6 +70,12 @@ class TestBuildPairs:
         with pytest.raises(ValueError):
             build_pairs(np.ones((2, 3)), [edge])
 
+    @pytest.mark.parametrize("edge", [(0.5, 1.7, 1), (0, 1, 0), (1, 2, 7)],
+                             ids=["fractional-ids", "sign-0", "sign-7"])
+    def test_malformed_row_rejected(self, edge):
+        with pytest.raises(ValueError, match=r"^edge 0 \[.*not a whole int64 or a sign other"):
+            build_pairs(np.ones((3, 2)), [edge])
+
 
 class TestFitLogreg:
     def test_separable_points_classified_perfectly(self):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgcn.evaluation import build_pairs
 from sgcn.graph import (
     InvalidRatingError,
     ParseError,
@@ -20,6 +22,19 @@ from oracles import fold_records, has_edge, neighbor_sets, random_signed_graph, 
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 INT64 = np.iinfo(np.int64)
+
+# Each reshapes into valid (u, v, sign) triples, which no reader may do.
+WRONG_SHAPES = {
+    "six-by-two": np.array([[0, 1], [1, 2], [3, -1], [1, 3], [1, 0], [2, 1]]),
+    "two-three-one": np.array([[[0], [1], [1]], [[1], [2], [-1]]]),
+    "flat-six": np.array([0, 1, 1, 1, 2, -1]),
+}
+# The three entry points that read signed rows, on four nodes.
+READERS = {
+    "from_edges": lambda rows: SignedGraph.from_edges(4, rows),
+    "to_undirected": to_undirected,
+    "build_pairs": lambda rows: build_pairs(np.ones((4, 2)), rows),
+}
 
 
 def csr(n, data, indices, indptr):
@@ -182,9 +197,9 @@ class TestToUndirected:
             assert set(back.edges()) == original
 
     def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no records"):
             to_undirected([])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no records"):
             to_undirected(np.empty((0, 3), dtype=np.int64))
 
     @pytest.mark.parametrize("records,row", [
@@ -296,6 +311,23 @@ class TestSignedGraph:
         assert a != SignedGraph.from_edges(4, [(0, 1, 1), (1, 2, -1)])
 
 
+class TestSignedRows:
+    """The one reading of ``(u, v, sign)`` rows behind every entry point."""
+
+    @pytest.mark.parametrize("rows", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_wrong_shape_refused_not_reshaped(self, read, rows):
+        refusal = r"an \(E, 3\) array, not " + re.escape(str(rows.shape))
+        with pytest.raises(ValueError, match=refusal):
+            read(rows)
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))], ids=["list", "array"])
+    def test_no_elements_read_as_no_rows(self, rows):
+        assert SignedGraph.from_edges(3, rows).num_edges == 0
+        ends, labels = build_pairs(np.ones((3, 2)), rows)
+        assert ends.shape == (0, 2) and labels.shape == (0,)
+
+
 # The oracles' graph helpers: the property tests read the graph through
 # them, so each must answer from the adjacency and refuse what it cannot read.
 class TestNeighborSets:
@@ -392,6 +424,14 @@ class TestSplitTrainTest:
         assert test[:5] == ((1, 3, 1), (1, 5, 1), (1, 9, 1), (1, 23, 1), (1, 29, 1))
         digest = hashlib.sha1(np.array(test, dtype=np.int64).tobytes()).hexdigest()
         assert digest == "654a11c2737e20e1bf35a48d77b14bbf3f0cdaa6"
+
+    @pytest.mark.parametrize("fraction,held", [(0.95, 5), (0.05, 0)],
+                             ids=["all-held-out", "none-held-out"])
+    def test_split_leaving_a_side_empty_refused(self, fraction, held):
+        g = SignedGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 5, 1)])
+        refusal = f"^test_fraction {fraction} of 5 edges holds out {held};"
+        with pytest.raises(ValueError, match=refusal):
+            split_train_test(g, fraction, seed=0)
 
     def test_too_few_edges(self):
         g = SignedGraph.from_edges(4, [(0, 1, 1), (1, 2, 1)])
